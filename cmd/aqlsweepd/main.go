@@ -66,7 +66,13 @@ func main() {
 	}
 	logger.Printf("listening on %s (data=%s, job-slots=%d)", ln.Addr(), *data, *jobSlots)
 
-	hs := &http.Server{Handler: s.Handler()}
+	// No WriteTimeout: /v1/jobs/{id}/results streams follow a running
+	// job for as long as it runs, and a write deadline would cut them.
+	hs := &http.Server{
+		Handler:           s.Handler(),
+		ReadHeaderTimeout: 10 * time.Second,
+		IdleTimeout:       2 * time.Minute,
+	}
 	sigc := make(chan os.Signal, 1)
 	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
 	go func() {

@@ -33,7 +33,7 @@ func AdaptationSweep(cfg Config) *sweep.Spec {
 		sp.Seeds = 3
 	}
 	for _, n := range AdaptationWindows {
-		sp.Policies = append(sp.Policies, sweep.Policy(catalog.AQLWindowPolicy(n)))
+		sp.Policies = append(sp.Policies, catalog.AQLWindowPolicy(n))
 	}
 	return sp
 }

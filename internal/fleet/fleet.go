@@ -260,9 +260,9 @@ type Options struct {
 	// instance so policies that capture controllers stay host-local.
 	NewPolicy func() scenario.Policy
 	// Workers bounds the shard-worker pool advancing host engines in
-	// parallel between fleet events (0 = the spec's Workers hint, else
-	// GOMAXPROCS; 1 = the serial loop; capped at the host count).
-	// Results are byte-identical at any value.
+	// parallel at each epoch barrier (0 = the spec's Workers hint, else
+	// GOMAXPROCS; 1 = no pool, hosts advance inline; capped at the host
+	// count). Results are byte-identical at any value.
 	Workers int
 }
 
@@ -401,11 +401,8 @@ func (f *Fleet) handle(e event) {
 		f.drain(e.at)
 
 	case evMeasureStart:
-		// One global barrier: every host advances to the window edge so
-		// attained-time watermarks are read at one consistent instant.
-		// (In epoch mode the epoch barrier already did this; these
-		// advances are then no-ops.)
-		f.advanceAll(e.at)
+		// The epoch barrier has advanced every host to the window edge,
+		// so attained-time watermarks are read at one consistent instant.
 		for _, vm := range f.VMs {
 			if vm.Placed && !vm.Gone {
 				vm.baseRun = f.attained(vm, e.at)
@@ -427,7 +424,6 @@ func (f *Fleet) handle(e event) {
 			return
 		}
 		h := vm.host
-		h.advance(e.at)
 		h.Hyp.DestroyDomain(vm.dep.Dom, e.at)
 		f.settle(vm, e.at)
 		f.vmSeconds += float64(vm.VCPUs()) * seconds(e.at-vm.PlacedAt)
@@ -478,8 +474,6 @@ func (f *Fleet) handle(e event) {
 			return
 		}
 		vm.migrating = false
-		src.advance(e.at)
-		dst.advance(e.at)
 		src.Hyp.DestroyDomain(vm.dep.Dom, e.at)
 		vm.runCarried = f.attained(vm, e.at)
 		src.committed -= vm.VCPUs()
@@ -550,7 +544,6 @@ func (f *Fleet) crash(h *Host, now sim.Time, down sim.Time) {
 	if h.down {
 		return
 	}
-	h.advance(now)
 	h.down = true
 	f.faultsInjected++
 	if down > 0 {
@@ -616,7 +609,6 @@ func (f *Fleet) drain(now sim.Time) {
 }
 
 func (f *Fleet) place(vm *VM, h *Host, now sim.Time) {
-	h.advance(now)
 	h.committed += vm.VCPUs()
 	f.tenantCommitted[vm.Tenant] += vm.VCPUs()
 	vm.host = h

@@ -1,25 +1,28 @@
-// Epoch-parallel execution of one fleet run.
+// Epoch execution of one fleet run, optionally sharded across cores.
 //
 // A fleet run is one giant sweep cell, so sweep-level parallelism cannot
 // touch it; this file shards the run itself across cores without giving
 // up the bit-identical-at-any-workers guarantee. The enabling property
-// is PR 6's isolation invariant: every host owns a private engine,
+// is the fleet's isolation invariant: every host owns a private engine,
 // topology, cache model, policy instance and RNG fork, and hosts only
 // ever interact through the central (time, seq)-ordered timeline.
 //
 // Execution splits into epochs. All events sharing the next fleet
 // timestamp t form one epoch: first every host advances its private
-// engine to t on a bounded worker pool (the epoch barrier), then the
-// epoch's events — and any same-time events they push, which carry
-// higher sequence numbers — apply single-threaded in (time, seq) order.
-// Eagerly advancing a host is observationally neutral: between fleet
-// events nothing outside the host can observe or perturb its engine, so
-// running it to t early fires exactly the engine events the lazy serial
-// loop would fire at the host's next touch, in the same order, with the
-// same state. Cross-host effects (placement, migration completion,
-// crash/recovery, rebalance ticks) and every central RNG draw therefore
-// happen exactly as in the serial loop, and all artifacts — fault
-// schedules included — are byte-identical at any worker count.
+// engine to t (the epoch barrier), then the epoch's events — and any
+// same-time events they push, which carry higher sequence numbers —
+// apply single-threaded in (time, seq) order. Event handlers therefore
+// always see every host already at the event time and never advance an
+// engine themselves. With workers > 1 the barrier runs on a bounded
+// worker pool; with workers = 1 there is no pool and the barrier
+// advances hosts inline, in host order. Advancing a host early is
+// observationally neutral: between fleet events nothing outside the
+// host can observe or perturb its engine, so running it to t fires
+// exactly the engine events a later, longer advance would fire, in the
+// same order, with the same state. Cross-host effects (placement,
+// migration completion, crash/recovery, rebalance ticks) and every
+// central RNG draw happen on the one timeline thread, so all artifacts —
+// fault schedules included — are byte-identical at any worker count.
 package fleet
 
 import (
@@ -35,7 +38,7 @@ import (
 // resolveWorkers picks the effective shard-worker count for one run:
 // the explicit Options override first, then the spec's hint, then
 // GOMAXPROCS; never more than one worker per host. A result of 1 means
-// the serial loop runs (no pool, no barriers).
+// no pool: the epoch barriers advance hosts inline.
 func resolveWorkers(opt, hint, hosts int) int {
 	w := opt
 	if w <= 0 {
@@ -91,13 +94,21 @@ func newAdvancePool(workers int) *advancePool {
 func (p *advancePool) close() { close(p.jobs) }
 
 // do runs fn(i) for every i in [0, n) across the pool's workers and
-// returns once all completed. Indices are handed out through an atomic
-// cursor, so skewed per-index work self-balances instead of serializing
-// behind a static partition. Worker panics are captured — the remaining
-// indices still execute, keeping the barrier well-formed — and re-raised
-// here; when several indices panic, the lowest one wins, so the surfaced
-// failure does not depend on goroutine scheduling.
+// returns once all completed. A nil pool (workers = 1) runs every index
+// inline, in order, and lets a panic propagate unwrapped. Indices are
+// handed out through an atomic cursor, so skewed per-index work
+// self-balances instead of serializing behind a static partition. Worker
+// panics are captured — the remaining indices still execute, keeping the
+// barrier well-formed — and re-raised here; when several indices panic,
+// the lowest one wins, so the surfaced failure does not depend on
+// goroutine scheduling.
 func (p *advancePool) do(n int, fn func(i int)) {
+	if p == nil {
+		for i := 0; i < n; i++ {
+			fn(i)
+		}
+		return
+	}
 	if n <= 0 {
 		return
 	}
@@ -148,24 +159,12 @@ func (p *advancePool) run(i int, fn func(i int)) {
 }
 
 // advanceAll advances every host's private engine to t: the epoch
-// barrier when a pool is armed, a plain loop otherwise (the measure-
-// start barrier and the end-of-run drain share this path in both
-// modes). Hosts already at (or past) t are skipped up front — an
-// epoch's events usually touch a few hosts, so most engines are still
-// current at the next barrier and scheduling pool jobs for them would
-// be pure overhead. Hosts never share mutable state during advance —
-// see the package comment above for why eager advancement is neutral.
+// barrier, sharded over the pool when one is armed and inline
+// otherwise. Hosts already at (or past) t are skipped up front, so a
+// repeated barrier at the same instant costs no advance calls. Hosts
+// never share mutable state during advance — see the package comment
+// above for why eager advancement is neutral.
 func (f *Fleet) advanceAll(t sim.Time) {
-	if f.pool == nil {
-		for _, h := range f.Hosts {
-			if h.Hyp.Engine.Now() >= t {
-				continue
-			}
-			f.advances++
-			h.advance(t)
-		}
-		return
-	}
 	stale := f.staleHosts(t)
 	f.advances += len(stale)
 	f.pool.do(len(stale), func(i int) { stale[i].advance(t) })
@@ -186,31 +185,17 @@ func (f *Fleet) staleHosts(t sim.Time) []*Host {
 // run drives the central timeline to the end of the measurement window
 // and then drains every host to it.
 func (f *Fleet) run() {
-	if f.pool == nil {
-		// Serial fast path (workers = 1): pop one event at a time, hosts
-		// advance lazily when an event touches them — the pre-sharding
-		// loop, kept verbatim so turning parallelism off costs nothing.
-		for len(f.heap) > 0 {
-			e := f.pop()
-			if e.at > f.end {
-				break
-			}
-			f.handle(e)
+	for len(f.heap) > 0 {
+		t := f.heap[0].at
+		if t > f.end {
+			break
 		}
-	} else {
-		for len(f.heap) > 0 {
-			t := f.heap[0].at
-			if t > f.end {
-				break
-			}
-			f.advanceAll(t)
-			// Apply the epoch's events in (time, seq) order. Handlers may
-			// push same-time events (a retry, a degradation end); those
-			// carry higher sequence numbers and are popped here too,
-			// exactly as the serial loop would order them.
-			for len(f.heap) > 0 && f.heap[0].at == t {
-				f.handle(f.pop())
-			}
+		f.advanceAll(t)
+		// Apply the epoch's events in (time, seq) order. Handlers may push
+		// same-time events (a retry, a degradation end); those carry
+		// higher sequence numbers and are popped here too.
+		for len(f.heap) > 0 && f.heap[0].at == t {
+			f.handle(f.pop())
 		}
 	}
 	f.advanceAll(f.end)

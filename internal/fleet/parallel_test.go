@@ -1,6 +1,9 @@
 package fleet
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
 	"fmt"
 	"runtime"
 	"strings"
@@ -31,39 +34,57 @@ func stormFleetSpec() Spec {
 	return sp
 }
 
-// assertSameResult compares two runs metric-for-metric, tenant-for-
-// tenant: the epoch-parallel loop must be observationally identical to
-// the serial one, not merely statistically close.
-func assertSameResult(t *testing.T, label string, want, got *Result) {
+// Frozen workers=1 digests of genFleetSpec and stormFleetSpec (see
+// resultDigest), recorded from the lazy serial run loop this package
+// used to keep for workers = 1. They are an independent reference: the
+// epoch loop must still reproduce that loop's results exactly.
+const (
+	genFleetDigest   = "01f26d3d20523336336f0122049b11484acd7915916474923e9303c80e3f71b3"
+	stormFleetDigest = "99f96c8741afe22fdacdad3864c0a79e8b84906c3903efbca3d679d01149d395"
+)
+
+// resultDigest is a sha256 over the run metrics and every tenant's name
+// and metrics, in their JSON encoding (which round-trips float64
+// values bit-exactly).
+func resultDigest(t *testing.T, res *Result) string {
 	t.Helper()
-	if !want.Metrics.Equal(got.Metrics) {
-		t.Errorf("%s: run metrics differ from the serial run:\nserial   %v\nparallel %v", label, want.Metrics, got.Metrics)
+	h := sha256.New()
+	enc := json.NewEncoder(h)
+	if err := enc.Encode(res.Metrics); err != nil {
+		t.Fatal(err)
 	}
-	if len(want.Apps) != len(got.Apps) {
-		t.Fatalf("%s: tenant app count differs: %d vs %d", label, len(want.Apps), len(got.Apps))
+	for _, a := range res.Apps {
+		if err := enc.Encode(struct {
+			Name    string
+			Metrics any
+		}{a.Name, a.Metrics}); err != nil {
+			t.Fatal(err)
+		}
 	}
-	for i := range want.Apps {
-		if want.Apps[i].Name != got.Apps[i].Name || !want.Apps[i].Metrics.Equal(got.Apps[i].Metrics) {
-			t.Errorf("%s: tenant %s metrics differ from the serial run", label, want.Apps[i].Name)
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// assertDigestAtWorkers runs spec at every shard-worker count and checks
+// each result's invariants and digest against the frozen reference.
+func assertDigestAtWorkers(t *testing.T, spec func() Spec, want string, workers ...int) {
+	t.Helper()
+	for _, w := range workers {
+		res := Run(spec(), Options{Workers: w})
+		if err := res.Fleet.CheckInvariants(); err != nil {
+			t.Errorf("workers=%d: %v", w, err)
+		}
+		if got := resultDigest(t, res); got != want {
+			t.Errorf("workers=%d: result digest %s, want the frozen %s", w, got, want)
 		}
 	}
 }
 
 // TestParallelRunMatchesSerial: a churn-and-migration fleet must
 // produce bit-identical results at every shard-worker count, including
-// counts above the host count (capped) and above GOMAXPROCS.
+// counts above the host count (capped) and above GOMAXPROCS, and those
+// results must match the frozen serial-loop reference.
 func TestParallelRunMatchesSerial(t *testing.T) {
-	serial := Run(genFleetSpec(), Options{Workers: 1})
-	if err := serial.Fleet.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
-	for _, w := range []int{2, 3, 4, 16} {
-		par := Run(genFleetSpec(), Options{Workers: w})
-		if err := par.Fleet.CheckInvariants(); err != nil {
-			t.Errorf("workers=%d: %v", w, err)
-		}
-		assertSameResult(t, fmt.Sprintf("workers=%d", w), serial, par)
-	}
+	assertDigestAtWorkers(t, genFleetSpec, genFleetDigest, 1, 2, 3, 4, 16)
 }
 
 // TestParallelFaultRunMatchesSerial: fault injection shares the
@@ -74,26 +95,19 @@ func TestParallelFaultRunMatchesSerial(t *testing.T) {
 	if v, _ := serial.Metrics.Get("fleet_faults_injected"); v < 2 {
 		t.Fatalf("fleet_faults_injected = %v, want a real storm so the test means something", v)
 	}
-	for _, w := range []int{2, 4} {
-		par := Run(stormFleetSpec(), Options{Workers: w})
-		if err := par.Fleet.CheckInvariants(); err != nil {
-			t.Errorf("workers=%d: %v", w, err)
-		}
-		assertSameResult(t, fmt.Sprintf("workers=%d", w), serial, par)
-	}
+	assertDigestAtWorkers(t, stormFleetSpec, stormFleetDigest, 1, 2, 4)
 }
 
 // TestSpecWorkersHint: the spec-level hint arms the pool exactly like
 // the Options override, and the override wins when both are set.
 func TestSpecWorkersHint(t *testing.T) {
-	sp := genFleetSpec()
-	sp.Workers = 4
-	hinted := Run(sp, Options{})
-	serial := Run(genFleetSpec(), Options{Workers: 1})
-	assertSameResult(t, "spec hint workers=4", serial, hinted)
-
-	overridden := Run(sp, Options{Workers: 1}) // override back to serial
-	assertSameResult(t, "options override workers=1", serial, overridden)
+	hinted := func() Spec {
+		sp := genFleetSpec()
+		sp.Workers = 4
+		return sp
+	}
+	assertDigestAtWorkers(t, hinted, genFleetDigest, 0) // the spec hint
+	assertDigestAtWorkers(t, hinted, genFleetDigest, 1) // override back to no pool
 }
 
 func TestResolveWorkers(t *testing.T) {
@@ -198,9 +212,9 @@ func TestPanicInHostAdvancePropagates(t *testing.T) {
 
 // TestAdvanceAllSkipsCurrentHosts: the epoch barrier must only issue
 // advance calls for hosts whose engines are strictly behind the barrier
-// time — most epochs touch a few hosts, and re-advancing the rest is
-// wasted work (and, on the pool path, wasted job scheduling). Counted
-// via the Fleet.advances probe in both the serial and pooled branches.
+// time — re-advancing the rest is wasted work (and, with a pool, wasted
+// job scheduling). Counted via the Fleet.advances probe with no pool
+// (inline barrier) and with one.
 func TestAdvanceAllSkipsCurrentHosts(t *testing.T) {
 	newHost := func(id int) *Host {
 		topo := *hw.I73770()
@@ -219,8 +233,8 @@ func TestAdvanceAllSkipsCurrentHosts(t *testing.T) {
 				t.Fatalf("first barrier issued %d advances, want 4 (all hosts stale)", f.advances)
 			}
 
-			// Two hosts run ahead (as if the epoch's events touched them);
-			// the next barrier must only advance the other two.
+			// Two hosts are already current; the next barrier must only
+			// advance the other two.
 			f.Hosts[1].advance(20 * sim.Millisecond)
 			f.Hosts[3].advance(20 * sim.Millisecond)
 			f.advanceAll(20 * sim.Millisecond)

@@ -62,12 +62,22 @@ func errorCode(err error) int {
 	}
 }
 
+// maxSubmitBytes caps a submit request body. Real spec files are a few
+// KiB; the cap keeps a hostile or broken client from making the daemon
+// buffer unbounded input.
+const maxSubmitBytes = 1 << 20
+
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var req SubmitRequest
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSubmitBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "decoding request: %v", err)
+		code := http.StatusBadRequest
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			code = http.StatusRequestEntityTooLarge
+		}
+		writeError(w, code, "decoding request: %v", err)
 		return
 	}
 	view, err := s.Submit(&req)

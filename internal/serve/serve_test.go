@@ -487,6 +487,17 @@ func TestHTTPSubmitValidation(t *testing.T) {
 		}
 	}
 
+	// A body past maxSubmitBytes is refused before it is buffered.
+	huge := `{"user":"ada","builtin":"` + strings.Repeat("x", maxSubmitBytes) + `"}`
+	resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(huge))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized submit: status %d, want 413", resp.StatusCode)
+	}
+
 	if r, _ := http.Get(ts.URL + "/v1/jobs/job-999999"); r.StatusCode != http.StatusNotFound {
 		t.Fatalf("unknown job returned %d, want 404", r.StatusCode)
 	}

@@ -2,7 +2,6 @@ package sweep
 
 import (
 	"bytes"
-	"reflect"
 	"strings"
 	"testing"
 )
@@ -76,40 +75,6 @@ func TestFaultSweepDeterminism(t *testing.T) {
 	for _, m := range []string{"fleet_faults_injected", "fleet_vms_replaced", "fleet_downtime_vm_seconds"} {
 		if !strings.Contains(j1, m) {
 			t.Errorf("fault metric %s missing from the JSON artifact", m)
-		}
-	}
-}
-
-// TestFaultFleetBuiltinMatchesExampleSpec: `aqlsweep -spec faultfleet`
-// and `-spec examples/specs/faultfleet.json` must define the same
-// experiment, fault plan included.
-func TestFaultFleetBuiltinMatchesExampleSpec(t *testing.T) {
-	builtin, ok := Builtin("faultfleet")
-	if !ok {
-		t.Fatal("faultfleet builtin missing")
-	}
-	file, err := Load("../../examples/specs/faultfleet.json")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if builtin.Name != file.Name || builtin.Seeds != file.Seeds ||
-		builtin.Warmup != file.Warmup || builtin.Measure != file.Measure {
-		t.Errorf("faultfleet builtin and example file disagree on sweep knobs:\nbuiltin %+v\nfile    %+v", builtin, file)
-	}
-	if len(builtin.Scenarios) != len(file.Scenarios) {
-		t.Fatalf("axis sizes differ: %d vs %d", len(builtin.Scenarios), len(file.Scenarios))
-	}
-	for i := range builtin.Scenarios {
-		b, f := builtin.Scenarios[i], file.Scenarios[i]
-		if b.Name != f.Name {
-			t.Errorf("scenario %d named %q vs %q", i, b.Name, f.Name)
-		}
-		bs, fs := b.NewFleet(), f.NewFleet()
-		if bs.Faults == nil || fs.Faults == nil {
-			t.Fatalf("scenario %q lost its fault plan (builtin nil=%v, file nil=%v)", b.Name, bs.Faults == nil, fs.Faults == nil)
-		}
-		if !reflect.DeepEqual(bs, fs) {
-			t.Errorf("faultfleet builtin and example file expand scenario %q differently:\nbuiltin %+v\nfile    %+v", b.Name, bs, fs)
 		}
 	}
 }

@@ -2,7 +2,6 @@ package sweep
 
 import (
 	"bytes"
-	"reflect"
 	"strings"
 	"testing"
 )
@@ -167,49 +166,5 @@ func TestFleetSweepDeterminism(t *testing.T) {
 	}
 	if !strings.Contains(c1, "tenant:alpha") {
 		t.Error("per-tenant rows missing from the CSV artifact")
-	}
-}
-
-// TestFleetBuiltinMatchesExampleSpec: `aqlsweep -spec fleet` (the
-// builtin) and `-spec examples/specs/fleet.json` (the CI smoke file)
-// must define the same experiment.
-func TestFleetBuiltinMatchesExampleSpec(t *testing.T) {
-	builtin, ok := Builtin("fleet")
-	if !ok {
-		t.Fatal("fleet builtin missing")
-	}
-	file, err := Load("../../examples/specs/fleet.json")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if builtin.Name != file.Name || builtin.Baseline != file.Baseline ||
-		builtin.Seeds != file.Seeds || builtin.BaseSeed != file.BaseSeed ||
-		builtin.Warmup != file.Warmup || builtin.Measure != file.Measure {
-		t.Errorf("fleet builtin and example file disagree on sweep knobs:\nbuiltin %+v\nfile    %+v", builtin, file)
-	}
-	var bp, fp []string
-	for _, p := range builtin.Policies {
-		bp = append(bp, p.Name)
-	}
-	for _, p := range file.Policies {
-		fp = append(fp, p.Name)
-	}
-	if !reflect.DeepEqual(bp, fp) {
-		t.Errorf("policy axes differ: builtin %v, file %v", bp, fp)
-	}
-	if len(builtin.Scenarios) != len(file.Scenarios) {
-		t.Fatalf("axis sizes differ: %d vs %d", len(builtin.Scenarios), len(file.Scenarios))
-	}
-	for i := range builtin.Scenarios {
-		b, f := builtin.Scenarios[i], file.Scenarios[i]
-		if b.Name != f.Name {
-			t.Errorf("scenario %d named %q vs %q", i, b.Name, f.Name)
-		}
-		if b.NewFleet == nil || f.NewFleet == nil {
-			t.Fatalf("scenario %d is not a fleet scenario in both spellings", i)
-		}
-		if !reflect.DeepEqual(b.NewFleet(), f.NewFleet()) {
-			t.Errorf("fleet builtin and example file expand scenario %q differently", b.Name)
-		}
 	}
 }

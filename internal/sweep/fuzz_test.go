@@ -1,9 +1,9 @@
 package sweep
 
 import (
-	"os"
-	"path/filepath"
 	"testing"
+
+	"aqlsched/examples/specs"
 )
 
 // FuzzSpecParse throws arbitrary bytes at the spec-file parser, seeded
@@ -13,12 +13,12 @@ import (
 // count, vCPU budgets, churn arrival count, storm event count), so a
 // hostile spec file can fail but cannot wedge or OOM the process.
 func FuzzSpecParse(f *testing.F) {
-	specs, err := filepath.Glob("../../examples/specs/*.json")
-	if err != nil || len(specs) == 0 {
+	entries, err := specs.FS.ReadDir(".")
+	if err != nil || len(entries) == 0 {
 		f.Fatalf("no example specs found to seed the corpus: %v", err)
 	}
-	for _, p := range specs {
-		data, err := os.ReadFile(p)
+	for _, e := range entries {
+		data, err := specs.FS.ReadFile(e.Name())
 		if err != nil {
 			f.Fatal(err)
 		}

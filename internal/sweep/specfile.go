@@ -6,7 +6,9 @@ import (
 	"fmt"
 	"os"
 	"sort"
+	"strings"
 
+	"aqlsched/examples/specs"
 	"aqlsched/internal/catalog"
 	"aqlsched/internal/fleet"
 	"aqlsched/internal/hw"
@@ -29,45 +31,6 @@ func ScenarioByName(name string) (Scenario, error) {
 	return Scenario{Name: sc.Name, New: sc.New}, nil
 }
 
-// PolicyByName resolves a policy axis point from the catalog grammar:
-// xen (or xen-credit), aql, vturbo, vslicer, microsliced,
-// fixed:<duration> (e.g. fixed:10ms) and aql-nocustom:<duration>.
-func PolicyByName(name string) (Policy, error) {
-	p, err := catalog.PolicyByName(name)
-	if err != nil {
-		return Policy{}, err
-	}
-	return Policy(p), nil
-}
-
-// The policy constructors remain exported for Go callers building
-// sweep.Spec values directly (the experiments package); each is the
-// catalog entry of the same name.
-
-// XenPolicy is the unmodified credit scheduler (the usual baseline).
-func XenPolicy() Policy { return Policy(catalog.XenPolicy()) }
-
-// AQLPolicy is the paper's system. Every run gets a fresh controller
-// output slot, retrievable via RunResult.Controller.
-func AQLPolicy() Policy { return Policy(catalog.AQLPolicy()) }
-
-// AQLNoCustomPolicy is the Fig. 7 ablation: clustering stays active but
-// every pool runs the fixed quantum q.
-func AQLNoCustomPolicy(q sim.Time) Policy { return Policy(catalog.AQLNoCustomPolicy(q)) }
-
-// FixedPolicy runs every vCPU at quantum q in one pool.
-func FixedPolicy(q sim.Time) Policy { return Policy(catalog.FixedPolicy(q)) }
-
-// VTurboPolicy, VSlicerPolicy and MicroslicedPolicy are the related
-// systems of Fig. 8, manually configured as in the paper.
-func VTurboPolicy() Policy { return Policy(catalog.VTurboPolicy()) }
-
-// VSlicerPolicy differentiates IO-intensive slices on shared pools.
-func VSlicerPolicy() Policy { return Policy(catalog.VSlicerPolicy()) }
-
-// MicroslicedPolicy shortens the quantum for every vCPU.
-func MicroslicedPolicy() Policy { return Policy(catalog.MicroslicedPolicy()) }
-
 // --- Declarative spec files ------------------------------------------------
 
 // File is the JSON on-disk sweep specification consumed by aqlsweep.
@@ -75,8 +38,8 @@ func MicroslicedPolicy() Policy { return Policy(catalog.MicroslicedPolicy()) }
 // catalog names with a topology override ({"name": "S1", "topology":
 // "xeon-e5-4603"}), or inline generator blocks ({"gen": {...}}); see
 // ScenarioRef. Policy entries use the catalog grammar understood by
-// PolicyByName. Topology references resolve against the file's own
-// "topologies" section first, then the shared registry.
+// catalog.PolicyByName. Topology references resolve against the file's
+// own "topologies" section first, then the shared registry.
 type File struct {
 	Name string `json:"name"`
 	// Topologies defines machines inline, by builder parameters; their
@@ -117,13 +80,10 @@ type ScenarioRef struct {
 	Fleet *FleetBlock `json:"fleet,omitempty"`
 }
 
-// Ref wraps a catalog scenario name for Go-constructed Files.
-func Ref(name string) ScenarioRef { return ScenarioRef{Name: name} }
-
 func refs(names ...string) []ScenarioRef {
 	out := make([]ScenarioRef, len(names))
 	for i, n := range names {
-		out[i] = Ref(n)
+		out[i] = ScenarioRef{Name: n}
 	}
 	return out
 }
@@ -162,13 +122,10 @@ type PolicyBlock struct {
 	Params map[string]any `json:"params,omitempty"`
 }
 
-// Pol wraps a grammar spelling for Go-constructed Files.
-func Pol(name string) PolicyRef { return PolicyRef{Name: name} }
-
 func pols(names ...string) []PolicyRef {
 	out := make([]PolicyRef, len(names))
 	for i, n := range names {
-		out[i] = Pol(n)
+		out[i] = PolicyRef{Name: n}
 	}
 	return out
 }
@@ -199,10 +156,9 @@ func (r *PolicyRef) UnmarshalJSON(data []byte) error {
 // resolve turns the reference into a policy axis point.
 func (r PolicyRef) resolve() (Policy, error) {
 	if r.Block != nil {
-		p, err := catalog.PolicyFromConfig(r.Block.Name, r.Block.Params)
-		return Policy(p), err
+		return catalog.PolicyFromConfig(r.Block.Name, r.Block.Params)
 	}
-	return PolicyByName(r.Name)
+	return catalog.PolicyByName(r.Name)
 }
 
 // GenBlock parameterizes a generated colocation scenario (see
@@ -257,6 +213,21 @@ type ChurnBlock struct {
 	StartMS    int64   `json:"start_ms,omitempty"`
 	HorizonMS  int64   `json:"horizon_ms"`
 	MaxVMs     int     `json:"max_vms,omitempty"`
+}
+
+// spec converts the block into a scenario.ChurnSpec (nil for no block).
+func (c *ChurnBlock) spec() *scenario.ChurnSpec {
+	if c == nil {
+		return nil
+	}
+	return &scenario.ChurnSpec{
+		Rate:         c.RatePerSec,
+		MeanLifetime: sim.Time(c.MeanLifeMS) * sim.Millisecond,
+		MinLifetime:  sim.Time(c.MinLifeMS) * sim.Millisecond,
+		Start:        sim.Time(c.StartMS) * sim.Millisecond,
+		Horizon:      sim.Time(c.HorizonMS) * sim.Millisecond,
+		MaxVMs:       c.MaxVMs,
+	}
 }
 
 // FleetBlock parameterizes a multi-host fleet scenario (see
@@ -469,6 +440,18 @@ func (f *File) topology(name string) (*hw.Topology, error) {
 	return catalog.TopologyByName(name)
 }
 
+// seed resolves a generator block's population seed: its own, else the
+// file's base seed, else DefaultSeed.
+func (f *File) seed(s uint64) uint64 {
+	if s == 0 {
+		s = f.BaseSeed
+	}
+	if s == 0 {
+		s = DefaultSeed
+	}
+	return s
+}
+
 // scenarioAxis resolves one scenario entry into an axis point.
 func (f *File) scenarioAxis(i int, r ScenarioRef) (Scenario, error) {
 	switch {
@@ -534,13 +517,7 @@ func (f *File) genAxis(i int, g *GenBlock) (Scenario, error) {
 		fixed = append(fixed, app)
 	}
 
-	seed := g.Seed
-	if seed == 0 {
-		seed = f.BaseSeed
-	}
-	if seed == 0 {
-		seed = DefaultSeed
-	}
+	seed := f.seed(g.Seed)
 
 	name := g.Name
 	if name == "" {
@@ -585,16 +562,7 @@ func (f *File) genAxis(i int, g *GenBlock) (Scenario, error) {
 		}
 		gs.PhaseProb = p
 	}
-	if c := g.Churn; c != nil {
-		gs.Churn = &scenario.ChurnSpec{
-			Rate:         c.RatePerSec,
-			MeanLifetime: sim.Time(c.MeanLifeMS) * sim.Millisecond,
-			MinLifetime:  sim.Time(c.MinLifeMS) * sim.Millisecond,
-			Start:        sim.Time(c.StartMS) * sim.Millisecond,
-			Horizon:      sim.Time(c.HorizonMS) * sim.Millisecond,
-			MaxVMs:       c.MaxVMs,
-		}
-	}
+	gs.Churn = g.Churn.spec()
 	if _, err := gs.Generate(); err != nil {
 		return Scenario{}, fmt.Errorf("sweep: generator scenario %d: %v", i, err)
 	}
@@ -628,13 +596,7 @@ func (f *File) fleetAxis(i int, fb *FleetBlock) ([]Scenario, error) {
 		}
 	}
 
-	seed := fb.Seed
-	if seed == 0 {
-		seed = f.BaseSeed
-	}
-	if seed == 0 {
-		seed = DefaultSeed
-	}
+	seed := f.seed(fb.Seed)
 
 	name := fb.Name
 	if name == "" {
@@ -657,16 +619,7 @@ func (f *File) fleetAxis(i int, fb *FleetBlock) ([]Scenario, error) {
 		GenSeed: seed,
 		Workers: fb.Workers,
 	}
-	if c := fb.Churn; c != nil {
-		base.Churn = &scenario.ChurnSpec{
-			Rate:         c.RatePerSec,
-			MeanLifetime: sim.Time(c.MeanLifeMS) * sim.Millisecond,
-			MinLifetime:  sim.Time(c.MinLifeMS) * sim.Millisecond,
-			Start:        sim.Time(c.StartMS) * sim.Millisecond,
-			Horizon:      sim.Time(c.HorizonMS) * sim.Millisecond,
-			MaxVMs:       c.MaxVMs,
-		}
-	}
+	base.Churn = fb.Churn.spec()
 	if r := fb.Rebalance; r != nil {
 		base.Rebalance = fleet.Rebalance{
 			Every:         sim.Time(r.EveryMS) * sim.Millisecond,
@@ -737,7 +690,7 @@ func (f *File) Spec() (*Spec, error) {
 		s.Policies = append(s.Policies, p)
 	}
 	for _, q := range f.Quanta {
-		p, err := PolicyByName("fixed:" + q)
+		p, err := catalog.PolicyByName("fixed:" + q)
 		if err != nil {
 			return nil, err
 		}
@@ -747,7 +700,7 @@ func (f *File) Spec() (*Spec, error) {
 	// syntax ("xen", "fixed:30ms") and the resolved policy name
 	// ("xen-credit", "fixed-30.000ms").
 	if s.Baseline != "" {
-		if p, err := PolicyByName(s.Baseline); err == nil {
+		if p, err := catalog.PolicyByName(s.Baseline); err == nil {
 			s.Baseline = p.Name
 		}
 	}
@@ -759,8 +712,11 @@ func (f *File) Spec() (*Spec, error) {
 
 // --- Built-in sweeps -------------------------------------------------------
 
-// builtins maps names to ready-made sweep specifications mirroring the
-// paper's evaluation structure.
+// builtins maps names to the paper's evaluation grids. They stay Go
+// values rather than embedded JSON because resolving a literal costs
+// about half as much set-up as parsing the equivalent spec file. The
+// demo sweeps (genmix, fleet, ...) are the embedded example specs
+// instead; see Builtin.
 var builtins = map[string]func() *Spec{
 	"policy-grid": func() *Spec {
 		return mustFile(File{
@@ -822,194 +778,6 @@ var builtins = map[string]func() *Spec{
 			MeasureMS: 900,
 		})
 	},
-	// genmix demonstrates the generator end to end: a synthetic
-	// colocation mix on a generated two-socket machine. It must stay
-	// identical to the committed examples/specs/genmix.json (the CI
-	// smoke spec) so both spellings emit comparable artifacts — the
-	// sweep tests assert the equivalence.
-	"genmix": func() *Spec {
-		return mustFile(File{
-			Name: "genmix",
-			Topologies: map[string]hw.TopologyBuilder{
-				"dual-8": {Sockets: 2, CoresPerSocket: 8, LLCMB: 12, LLCWays: 16, MemNS: 90, MemGBps: 14},
-			},
-			Scenarios: []ScenarioRef{{Gen: &GenBlock{
-				Name:     "mix-balanced",
-				Topology: "dual-8",
-				VCPUs:    32,
-				OverSub:  4,
-				Mix: map[string]float64{
-					"IOInt": 0.25, "ConSpin": 0.25, "LLCF": 0.2, "LLCO": 0.15, "LoLCF": 0.15,
-				},
-				Apps: []string{"bzip2", "hmmer"},
-			}}},
-			Policies:  pols("xen", "aql", "fixed:5ms"),
-			Baseline:  "xen-credit",
-			Seeds:     2,
-			WarmupMS:  400,
-			MeasureMS: 900,
-		})
-	},
-	// dynmix demonstrates the dynamic-scenario pipeline end to end: a
-	// generated population where half the VMs flip type mid-run and VM
-	// churn arrives throughout warmup and measurement. It must stay
-	// identical to the committed examples/specs/dynmix.json (the CI
-	// smoke spec) — the sweep tests assert the equivalence.
-	"dynmix": func() *Spec {
-		prob := 0.5
-		return mustFile(File{
-			Name: "dynmix",
-			Scenarios: []ScenarioRef{{Gen: &GenBlock{
-				Name:    "dyn-churn",
-				VCPUs:   12,
-				OverSub: 3,
-				Mix: map[string]float64{
-					"IOInt": 0.25, "LLCF": 0.35, "LoLCF": 0.25, "LLCO": 0.15,
-				},
-				Phases: []PhaseBlock{
-					{Type: "LoLCF", MS: 1000},
-					{Type: "LLCO", MS: 1000},
-				},
-				PhaseProb: &prob,
-				Churn: &ChurnBlock{
-					RatePerSec: 2,
-					MeanLifeMS: 700,
-					HorizonMS:  1100,
-				},
-			}}},
-			Policies:  pols("xen", "aql", "fixed:5ms"),
-			Baseline:  "xen-credit",
-			Seeds:     2,
-			WarmupMS:  400,
-			MeasureMS: 900,
-		})
-	},
-	// fleet demonstrates the multi-host layer end to end: a 100-host /
-	// 2,400-vCPU datacenter with VM churn and live-migration
-	// rebalancing, sweeping two placement policies in one spec. It must
-	// stay identical to the committed examples/specs/fleet.json (the CI
-	// smoke spec) — the sweep tests assert the equivalence.
-	"fleet": func() *Spec {
-		return mustFile(File{
-			Name: "fleet",
-			Scenarios: []ScenarioRef{{Fleet: &FleetBlock{
-				Name:      "dc100",
-				Hosts:     100,
-				OverSub:   3,
-				Placement: PlacementList{"least-loaded", "bin-pack"},
-				Tenants:   map[string]float64{"alpha": 2, "beta": 1, "gamma": 1},
-				VCPUs:     2400,
-				Mix: map[string]float64{
-					"IOInt": 0.25, "ConSpin": 0.25, "LLCF": 0.2, "LLCO": 0.15, "LoLCF": 0.15,
-				},
-				Churn: &ChurnBlock{
-					RatePerSec: 40,
-					MeanLifeMS: 400,
-					MinLifeMS:  100,
-					HorizonMS:  900,
-				},
-				Rebalance: &RebalanceBlock{
-					EveryMS:     100,
-					Threshold:   0.05,
-					MigrationMS: 40,
-					MaxPerTick:  8,
-				},
-			}}},
-			Policies:  pols("xen"),
-			WarmupMS:  300,
-			MeasureMS: 700,
-		})
-	},
-	// faultfleet demonstrates the failure-injection layer end to end: a
-	// 20-host fleet under a crash storm, a degradation storm, flaky live
-	// migrations and the default recovery policy. It must stay identical
-	// to the committed examples/specs/faultfleet.json (the CI resume
-	// smoke spec) — the sweep tests assert the equivalence.
-	"faultfleet": func() *Spec {
-		return mustFile(File{
-			Name: "faultfleet",
-			Scenarios: []ScenarioRef{{Fleet: &FleetBlock{
-				Name:      "storm20",
-				Hosts:     20,
-				OverSub:   3,
-				Placement: PlacementList{"least-loaded", "bin-pack"},
-				Tenants:   map[string]float64{"alpha": 2, "beta": 1},
-				VCPUs:     480,
-				Mix: map[string]float64{
-					"IOInt": 0.25, "ConSpin": 0.25, "LLCF": 0.2, "LLCO": 0.15, "LoLCF": 0.15,
-				},
-				Churn: &ChurnBlock{
-					RatePerSec: 20,
-					MeanLifeMS: 400,
-					MinLifeMS:  100,
-					HorizonMS:  900,
-				},
-				Rebalance: &RebalanceBlock{
-					EveryMS:     100,
-					Threshold:   0.05,
-					MigrationMS: 40,
-					MaxPerTick:  4,
-				},
-				Faults: &FaultsBlock{
-					CrashStorm: &StormBlock{
-						RatePerSec: 6,
-						StartMS:    300,
-						HorizonMS:  900,
-						MeanDownMS: 150,
-					},
-					DegradeStorm: &StormBlock{
-						RatePerSec: 4,
-						HorizonMS:  1000,
-						MeanDownMS: 200,
-						Factor:     0.5,
-					},
-					MigFailProb: 0.2,
-					Recovery: &RecoveryBlock{
-						MaxRetries:   4,
-						RetryDelayMS: 10,
-						Backoff:      2,
-						OnExhaust:    "requeue",
-					},
-				},
-			}}},
-			Policies:  pols("xen"),
-			Seeds:     2,
-			WarmupMS:  300,
-			MeasureMS: 700,
-		})
-	},
-	// hetero demonstrates heterogeneous core classes end to end: a
-	// big.LITTLE machine (4 fast + 4 slow cores), the class-aware
-	// hetero-aql policy against plain AQL, and the deadline-aware edf
-	// policy spelled as a structured {"policy": ...} block. It must stay
-	// identical to the committed examples/specs/hetero.json (the CI
-	// smoke spec) — the sweep tests assert the equivalence.
-	"hetero": func() *Spec {
-		return mustFile(File{
-			Name: "hetero",
-			Topologies: map[string]hw.TopologyBuilder{
-				"big-little": {Sockets: 1, CoresPerSocket: 8, Classes: []hw.CoreClassBuilder{
-					{Name: "big", Count: 4, Speed: 1},
-					{Name: "little", Count: 4, Speed: 0.6, L2KB: 128},
-				}},
-			},
-			Scenarios: []ScenarioRef{{Gen: &GenBlock{
-				Name:     "hetero-mix",
-				Topology: "big-little",
-				VCPUs:    24,
-				OverSub:  3,
-				Mix: map[string]float64{
-					"IOInt": 0.3, "ConSpin": 0.2, "LLCF": 0.25, "LoLCF": 0.25,
-				},
-			}}},
-			Policies: append(pols("xen", "aql", "hetero-aql"),
-				PolicyRef{Block: &PolicyBlock{Name: "edf", Params: map[string]any{"deadline": "10ms"}}}),
-			Baseline:  "xen-credit",
-			Seeds:     2,
-			WarmupMS:  400,
-			MeasureMS: 900,
-		})
-	},
 }
 
 func mustFile(f File) *Spec {
@@ -1020,20 +788,32 @@ func mustFile(f File) *Spec {
 	return s
 }
 
-// Builtin returns a named built-in sweep specification.
+// Builtin returns a named built-in sweep specification: one of the
+// paper grids above, else the embedded example spec <name>.json.
 func Builtin(name string) (*Spec, bool) {
-	f, ok := builtins[name]
-	if !ok {
+	if f, ok := builtins[name]; ok {
+		return f(), true
+	}
+	data, err := specs.FS.ReadFile(name + ".json")
+	if err != nil {
 		return nil, false
 	}
-	return f(), true
+	s, err := Parse(data)
+	if err != nil {
+		panic("sweep: bad embedded spec " + name + ".json: " + err.Error())
+	}
+	return s, true
 }
 
 // BuiltinNames lists the built-in sweeps, sorted.
 func BuiltinNames() []string {
-	out := make([]string, 0, len(builtins))
+	entries, _ := specs.FS.ReadDir(".")
+	out := make([]string, 0, len(builtins)+len(entries))
 	for n := range builtins {
 		out = append(out, n)
+	}
+	for _, e := range entries {
+		out = append(out, strings.TrimSuffix(e.Name(), ".json"))
 	}
 	sort.Strings(out)
 	return out

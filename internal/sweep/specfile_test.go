@@ -207,40 +207,61 @@ func TestGenmixBuiltin(t *testing.T) {
 	}
 }
 
-// TestGenmixBuiltinMatchesExampleSpec: `aqlsweep -spec genmix` (the
-// builtin) and `-spec examples/specs/genmix.json` (the CI smoke file)
+// builtinMatchesExampleSpec: `aqlsweep -spec <name>` (the built-in) and
+// `-spec examples/specs/<name>.json` (the file CI and perfbench read)
 // must define the same experiment, or the two spellings would emit
 // same-named artifacts with different populations.
-func TestGenmixBuiltinMatchesExampleSpec(t *testing.T) {
-	builtin, ok := Builtin("genmix")
+func builtinMatchesExampleSpec(t *testing.T, name string) {
+	t.Helper()
+	builtin, ok := Builtin(name)
 	if !ok {
-		t.Fatal("genmix builtin missing")
+		t.Fatalf("%s builtin missing", name)
 	}
-	file, err := Load("../../examples/specs/genmix.json")
+	file, err := Load("../../examples/specs/" + name + ".json")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if builtin.Name != file.Name || builtin.Baseline != file.Baseline ||
 		builtin.Seeds != file.Seeds || builtin.BaseSeed != file.BaseSeed ||
 		builtin.Warmup != file.Warmup || builtin.Measure != file.Measure {
-		t.Errorf("genmix builtin and example file disagree on sweep knobs:\nbuiltin %+v\nfile    %+v", builtin, file)
+		t.Errorf("%s builtin and example file disagree on sweep knobs:\nbuiltin %+v\nfile    %+v", name, builtin, file)
 	}
-	var bp, fp []string
-	for _, p := range builtin.Policies {
-		bp = append(bp, p.Name)
+	policies := func(s *Spec) (names []string) {
+		for _, p := range s.Policies {
+			names = append(names, p.Name)
+		}
+		return names
 	}
-	for _, p := range file.Policies {
-		fp = append(fp, p.Name)
-	}
-	if !reflect.DeepEqual(bp, fp) {
+	if bp, fp := policies(builtin), policies(file); !reflect.DeepEqual(bp, fp) {
 		t.Errorf("policy axes differ: builtin %v, file %v", bp, fp)
 	}
-	if len(builtin.Scenarios) != 1 || len(file.Scenarios) != 1 {
+	if len(builtin.Scenarios) != len(file.Scenarios) {
 		t.Fatalf("axis sizes differ: %d vs %d", len(builtin.Scenarios), len(file.Scenarios))
 	}
-	if !reflect.DeepEqual(builtin.Scenarios[0].New(), file.Scenarios[0].New()) {
-		t.Error("genmix builtin and example file expand to different scenarios")
+	for i := range builtin.Scenarios {
+		b, f := builtin.Scenarios[i], file.Scenarios[i]
+		if b.Name != f.Name {
+			t.Errorf("scenario %d named %q vs %q", i, b.Name, f.Name)
+		}
+		if (b.NewFleet == nil) != (f.NewFleet == nil) {
+			t.Fatalf("scenario %q is a fleet in only one spelling", b.Name)
+		}
+		if b.NewFleet != nil {
+			if !reflect.DeepEqual(b.NewFleet(), f.NewFleet()) {
+				t.Errorf("%s builtin and example file expand fleet %q differently", name, b.Name)
+			}
+		} else if !reflect.DeepEqual(b.New(), f.New()) {
+			t.Errorf("%s builtin and example file expand scenario %q differently", name, b.Name)
+		}
 	}
+}
+
+func TestGenmixBuiltinMatchesExampleSpec(t *testing.T) { builtinMatchesExampleSpec(t, "genmix") }
+func TestDynmixBuiltinMatchesExampleSpec(t *testing.T) { builtinMatchesExampleSpec(t, "dynmix") }
+func TestHeteroBuiltinMatchesExampleSpec(t *testing.T) { builtinMatchesExampleSpec(t, "hetero") }
+func TestFleetBuiltinMatchesExampleSpec(t *testing.T)  { builtinMatchesExampleSpec(t, "fleet") }
+func TestFaultFleetBuiltinMatchesExampleSpec(t *testing.T) {
+	builtinMatchesExampleSpec(t, "faultfleet")
 }
 
 // dynSpecJSON exercises the dynamic-scenario schema end to end: a
@@ -363,44 +384,6 @@ func TestSweepDynamicDeterminism(t *testing.T) {
 	}
 }
 
-// TestDynmixBuiltinMatchesExampleSpec mirrors the genmix equivalence
-// guarantee for the dynamic example spec.
-func TestDynmixBuiltinMatchesExampleSpec(t *testing.T) {
-	builtin, ok := Builtin("dynmix")
-	if !ok {
-		t.Fatal("dynmix builtin missing")
-	}
-	file, err := Load("../../examples/specs/dynmix.json")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if builtin.Name != file.Name || builtin.Baseline != file.Baseline ||
-		builtin.Seeds != file.Seeds || builtin.BaseSeed != file.BaseSeed ||
-		builtin.Warmup != file.Warmup || builtin.Measure != file.Measure {
-		t.Errorf("dynmix builtin and example file disagree on sweep knobs")
-	}
-	var bp, fp []string
-	for _, p := range builtin.Policies {
-		bp = append(bp, p.Name)
-	}
-	for _, p := range file.Policies {
-		fp = append(fp, p.Name)
-	}
-	if !reflect.DeepEqual(bp, fp) {
-		t.Errorf("policy axes differ: builtin %v, file %v", bp, fp)
-	}
-	if len(builtin.Scenarios) != 1 || len(file.Scenarios) != 1 {
-		t.Fatalf("axis sizes differ: %d vs %d", len(builtin.Scenarios), len(file.Scenarios))
-	}
-	b, f := builtin.Scenarios[0].New(), file.Scenarios[0].New()
-	if !reflect.DeepEqual(b, f) {
-		t.Error("dynmix builtin and example file expand to different scenarios")
-	}
-	if !b.Dynamic() || len(b.Arrivals) == 0 {
-		t.Error("dynmix scenario is not dynamic (no churn expanded)")
-	}
-}
-
 // TestSpecFileExplicitPhaseProbZero: "phase_prob": 0 must mean "no
 // phased VMs", not silently default to 1.
 func TestSpecFileExplicitPhaseProbZero(t *testing.T) {
@@ -425,45 +408,6 @@ func TestSpecFileExplicitPhaseProbZero(t *testing.T) {
 			"phase_prob": 1.5}}],
 		"policies": ["xen"]}`)); err == nil {
 		t.Error("phase_prob 1.5 accepted")
-	}
-}
-
-// TestHeteroBuiltinMatchesExampleSpec: `aqlsweep -spec hetero` and the
-// CI smoke file examples/specs/hetero.json must define the same
-// experiment (the genmix contract, for the heterogeneous sweep).
-func TestHeteroBuiltinMatchesExampleSpec(t *testing.T) {
-	builtin, ok := Builtin("hetero")
-	if !ok {
-		t.Fatal("hetero builtin missing")
-	}
-	file, err := Load("../../examples/specs/hetero.json")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if builtin.Name != file.Name || builtin.Baseline != file.Baseline ||
-		builtin.Seeds != file.Seeds || builtin.BaseSeed != file.BaseSeed ||
-		builtin.Warmup != file.Warmup || builtin.Measure != file.Measure {
-		t.Errorf("hetero builtin and example file disagree on sweep knobs:\nbuiltin %+v\nfile    %+v", builtin, file)
-	}
-	var bp, fp []string
-	for _, p := range builtin.Policies {
-		bp = append(bp, p.Name)
-	}
-	for _, p := range file.Policies {
-		fp = append(fp, p.Name)
-	}
-	if !reflect.DeepEqual(bp, fp) {
-		t.Errorf("policy axes differ: builtin %v, file %v", bp, fp)
-	}
-	if len(builtin.Scenarios) != 1 || len(file.Scenarios) != 1 {
-		t.Fatalf("axis sizes differ: %d vs %d", len(builtin.Scenarios), len(file.Scenarios))
-	}
-	if !reflect.DeepEqual(builtin.Scenarios[0].New(), file.Scenarios[0].New()) {
-		t.Error("hetero builtin and example file expand to different scenarios")
-	}
-	sc := builtin.Scenarios[0].New()
-	if !sc.Topo.Heterogeneous() {
-		t.Error("hetero sweep machine is homogeneous")
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"aqlsched/examples/specs"
 	"aqlsched/internal/scenario"
 	"aqlsched/internal/sim"
 	"aqlsched/internal/workload"
@@ -231,6 +232,11 @@ func TestSweepSpecFile(t *testing.T) {
 	}
 }
 
+// TestSweepBuiltins: every built-in resolves and validates, and every
+// embedded example spec is a built-in under its file stem, so
+// `-spec genmix` and `-spec examples/specs/genmix.json` share one
+// definition. The per-spec checks keep each demo sweep exercising the
+// layer it exists for.
 func TestSweepBuiltins(t *testing.T) {
 	names := BuiltinNames()
 	if len(names) == 0 {
@@ -247,6 +253,64 @@ func TestSweepBuiltins(t *testing.T) {
 	}
 	if _, ok := Builtin("definitely-not-a-sweep"); ok {
 		t.Error("unknown builtin resolved")
+	}
+
+	first := func(s *Spec) scenario.Spec { return s.Scenarios[0].New() }
+	fleetFaults := func(s *Spec) bool {
+		for _, sc := range s.Scenarios {
+			if sc.NewFleet == nil || sc.NewFleet().Faults == nil {
+				return false
+			}
+		}
+		return true
+	}
+	props := map[string]struct {
+		want string
+		ok   func(*Spec) bool
+	}{
+		"genmix":     {"a 16-pCPU machine", func(s *Spec) bool { return first(s).Topo.TotalPCPUs() == 16 }},
+		"dynmix":     {"churn arrivals", func(s *Spec) bool { sc := first(s); return sc.Dynamic() && len(sc.Arrivals) > 0 }},
+		"hetero":     {"a heterogeneous machine", func(s *Spec) bool { return first(s).Topo.Heterogeneous() }},
+		"fleet":      {"fleet scenarios", func(s *Spec) bool { return s.Scenarios[0].NewFleet != nil }},
+		"faultfleet": {"a fault plan on every fleet", fleetFaults},
+	}
+	entries, err := specs.FS.ReadDir(".")
+	if err != nil || len(entries) == 0 {
+		t.Fatalf("no embedded example specs: %v", err)
+	}
+	for _, e := range entries {
+		stem := strings.TrimSuffix(e.Name(), ".json")
+		if _, shadowed := builtins[stem]; shadowed {
+			t.Errorf("%s is shadowed by a Go built-in of the same name", e.Name())
+		}
+		if _, ok := Builtin(stem); !ok {
+			t.Errorf("%s is not a built-in under %q", e.Name(), stem)
+		}
+		data, err := specs.FS.ReadFile(e.Name())
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, err := Parse(data)
+		if err != nil {
+			t.Errorf("%s: %v", e.Name(), err)
+			continue
+		}
+		if s.Name != stem {
+			t.Errorf("%s: name %q, want the file stem %q", e.Name(), s.Name, stem)
+		}
+		if err := s.Validate(); err != nil {
+			t.Errorf("%s: %v", e.Name(), err)
+		}
+		if len(s.Runs()) == 0 {
+			t.Errorf("%s expands to an empty run matrix", e.Name())
+		}
+		if p, ok := props[stem]; ok && !p.ok(s) {
+			t.Errorf("%s: want %s", e.Name(), p.want)
+		}
+		delete(props, stem)
+	}
+	for stem := range props {
+		t.Errorf("example spec %s.json is missing from the embed", stem)
 	}
 }
 
