@@ -78,8 +78,8 @@ func TestWorkloadsRegistered(t *testing.T) {
 	if err != nil || s.Name != "bzip2" {
 		t.Fatalf("WorkloadByName(bzip2) = %+v, %v", s, err)
 	}
-	if _, err := WorkloadByName("quake3"); err == nil {
-		t.Error("unknown workload resolved")
+	if _, err := WorkloadByName("quake3"); err == nil || !strings.Contains(err.Error(), "quake3") {
+		t.Errorf("WorkloadByName(quake3) error = %v", err)
 	}
 }
 

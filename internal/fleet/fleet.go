@@ -135,12 +135,10 @@ const (
 	evRetry
 )
 
-// event is one entry of the fleet timeline. Events are ordered by
-// (at, seq): seq is assigned in push order, so same-time events fire in
-// a deterministic schedule order regardless of heap internals.
+// event is one entry of the fleet timeline, scheduled on the central
+// sim.Engine: same-time events fire in push order.
 type event struct {
 	at       sim.Time
-	seq      int
 	kind     eventKind
 	vm       *VM
 	src, dst *Host // migration endpoints (evMigDone); src doubles as the fault target host
@@ -152,50 +150,17 @@ type event struct {
 	factor float64  // degrade capacity multiplier
 }
 
+// push schedules e on the central timeline. The first event of each new
+// timestamp runs the epoch barrier (see parallel.go) before any handler
+// at that instant.
 func (f *Fleet) push(e event) {
-	e.seq = f.seq
-	f.seq++
-	f.heap = append(f.heap, e)
-	i := len(f.heap) - 1
-	for i > 0 {
-		p := (i - 1) / 2
-		if !eventLess(f.heap[i], f.heap[p]) {
-			break
+	f.tl.At(e.at, func(now sim.Time) {
+		if now > f.epoch {
+			f.epoch = now
+			f.advanceAll(now)
 		}
-		f.heap[i], f.heap[p] = f.heap[p], f.heap[i]
-		i = p
-	}
-}
-
-func (f *Fleet) pop() event {
-	top := f.heap[0]
-	last := len(f.heap) - 1
-	f.heap[0] = f.heap[last]
-	f.heap = f.heap[:last]
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		s := i
-		if l < last && eventLess(f.heap[l], f.heap[s]) {
-			s = l
-		}
-		if r < last && eventLess(f.heap[r], f.heap[s]) {
-			s = r
-		}
-		if s == i {
-			break
-		}
-		f.heap[i], f.heap[s] = f.heap[s], f.heap[i]
-		i = s
-	}
-	return top
-}
-
-func eventLess(a, b event) bool {
-	if a.at != b.at {
-		return a.at < b.at
-	}
-	return a.seq < b.seq
+		f.handle(e)
+	})
 }
 
 // --- Fleet -----------------------------------------------------------------
@@ -217,8 +182,10 @@ type Fleet struct {
 
 	warmup, end sim.Time
 
-	heap []event
-	seq  int
+	// tl is the central timeline; epoch is the instant of the latest
+	// epoch barrier.
+	tl    *sim.Engine
+	epoch sim.Time
 
 	// pool, when non-nil, shards per-host engine advancement across
 	// worker goroutines at every epoch barrier (see parallel.go). It is
@@ -300,6 +267,7 @@ func Run(spec Spec, opts Options) *Result {
 		tenantCommitted: make([]int, len(sp.Tenants)),
 		tenantAttained:  make([]float64, len(sp.Tenants)),
 		tenantShares:    make([][]float64, len(sp.Tenants)),
+		tl:              sim.NewEngine(),
 	}
 	f.placer, err = PlacementByName(sp.Placement)
 	if err != nil {
@@ -338,15 +306,6 @@ func Run(spec Spec, opts Options) *Result {
 		faultTimeline = f.faults.timeline(sp.Hosts)
 	}
 
-	// Size the timeline heap and VM table from the spec-derived event
-	// counts: every arrival, its eventual departure, the measure-start
-	// barrier, the rebalance ticks and the fault schedule are known up
-	// front, so the heap never regrows during the initial burst.
-	ticks := 0
-	if sp.Rebalance.Every > 0 {
-		ticks = int(f.end / sp.Rebalance.Every)
-	}
-	f.heap = make([]event, 0, 2*len(vms)+ticks+len(faultTimeline)+1)
 	f.VMs = make([]*VM, 0, len(vms))
 	f.pending = make([]*VM, 0, len(vms))
 

@@ -5,24 +5,25 @@
 // up the bit-identical-at-any-workers guarantee. The enabling property
 // is the fleet's isolation invariant: every host owns a private engine,
 // topology, cache model, policy instance and RNG fork, and hosts only
-// ever interact through the central (time, seq)-ordered timeline.
+// ever interact through the central timeline, a sim.Engine of its own.
 //
-// Execution splits into epochs. All events sharing the next fleet
-// timestamp t form one epoch: first every host advances its private
-// engine to t (the epoch barrier), then the epoch's events — and any
-// same-time events they push, which carry higher sequence numbers —
-// apply single-threaded in (time, seq) order. Event handlers therefore
-// always see every host already at the event time and never advance an
-// engine themselves. With workers > 1 the barrier runs on a bounded
-// worker pool; with workers = 1 there is no pool and the barrier
-// advances hosts inline, in host order. Advancing a host early is
-// observationally neutral: between fleet events nothing outside the
-// host can observe or perturb its engine, so running it to t fires
-// exactly the engine events a later, longer advance would fire, in the
-// same order, with the same state. Cross-host effects (placement,
-// migration completion, crash/recovery, rebalance ticks) and every
-// central RNG draw happen on the one timeline thread, so all artifacts —
-// fault schedules included — are byte-identical at any worker count.
+// Execution splits into epochs. All events sharing one fleet timestamp t
+// form an epoch. The first of them to fire runs the epoch barrier (see
+// Fleet.push): every host advances its private engine to t. The epoch's
+// events then apply single-threaded in (time, seq) order, together with
+// any same-time events they push, which the engine fires after the ones
+// already queued. Event handlers therefore always see every host already
+// at the event time and never advance an engine themselves. With
+// workers > 1 the barrier runs on a bounded worker pool; with
+// workers = 1 there is no pool and the barrier advances hosts inline, in
+// host order. Advancing a host early is observationally neutral: between
+// fleet events nothing outside the host can observe or perturb its
+// engine, so running it to t fires exactly the engine events a later,
+// longer advance would fire, in the same order, with the same state.
+// Cross-host effects (placement, migration completion, crash/recovery,
+// rebalance ticks) and every central RNG draw happen on the one timeline
+// thread, so all artifacts — fault schedules included — are
+// byte-identical at any worker count.
 package fleet
 
 import (
@@ -185,18 +186,6 @@ func (f *Fleet) staleHosts(t sim.Time) []*Host {
 // run drives the central timeline to the end of the measurement window
 // and then drains every host to it.
 func (f *Fleet) run() {
-	for len(f.heap) > 0 {
-		t := f.heap[0].at
-		if t > f.end {
-			break
-		}
-		f.advanceAll(t)
-		// Apply the epoch's events in (time, seq) order. Handlers may push
-		// same-time events (a retry, a degradation end); those carry
-		// higher sequence numbers and are popped here too.
-		for len(f.heap) > 0 && f.heap[0].at == t {
-			f.handle(f.pop())
-		}
-	}
+	f.tl.RunUntil(f.end)
 	f.advanceAll(f.end)
 }

@@ -43,6 +43,27 @@ const (
 	stormFleetDigest = "99f96c8741afe22fdacdad3864c0a79e8b84906c3903efbca3d679d01149d395"
 )
 
+// genVMsDigest is the sha256 of genFleetSpec's VM timeline (GenVMs in
+// its JSON encoding), recorded while GenVMs still carried its own
+// population and churn loops: an independent reference for the tenant
+// and app draw order of the churned, multi-tenant population.
+const genVMsDigest = "0bd324c841460f9d78673ded12540776de4683938b53d0d2d99ad71848532cae"
+
+func TestGenVMsFrozenDigest(t *testing.T) {
+	sp := genFleetSpec()
+	vms, err := sp.GenVMs()
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := sha256.New()
+	if err := json.NewEncoder(h).Encode(vms); err != nil {
+		t.Fatal(err)
+	}
+	if got := hex.EncodeToString(h.Sum(nil)); got != genVMsDigest {
+		t.Errorf("GenVMs digest %s, want the frozen %s", got, genVMsDigest)
+	}
+}
+
 // resultDigest is a sha256 over the run metrics and every tenant's name
 // and metrics, in their JSON encoding (which round-trips float64
 // values bit-exactly).

@@ -5,17 +5,18 @@
 // policies, and a rebalancer live-migrates VMs between hosts when the
 // admission-load imbalance crosses a threshold.
 //
-// Determinism is inherited from the layers below and preserved at the
-// merge points: every cross-host event (arrival, departure, migration
-// completion, rebalance tick) lives on one central timeline ordered by
-// (time, sequence), hosts advance their private engines only to event
-// times that concern them, and every random draw forks from either the
-// population seed (the VM timeline) or the run seed (per-host
-// simulation) by fixed labels. The same Spec therefore produces
-// bit-identical results for any sweep worker count — and, because the
-// epoch-parallel run loop (parallel.go) only moves host-private engine
-// work onto worker goroutines between central events, for any intra-run
-// shard-worker count too.
+// The fleet reuses the layers below rather than copying them. Every
+// cross-host event (arrival, departure, migration completion, rebalance
+// tick, fault) lives on one central sim.Engine, the same
+// (time, sequence)-ordered queue each host runs on. The VM timeline is
+// drawn by scenario.DrawPopulation, the single-host generator's own
+// population and churn draw, with the tenant drawn ahead of each app.
+// Every random draw forks from either the population seed (the VM
+// timeline) or the run seed (per-host simulation) by fixed labels. The
+// same Spec therefore produces bit-identical results for any sweep
+// worker count — and, because the epoch loop (parallel.go) only moves
+// host-private engine work onto worker goroutines between central
+// events, for any intra-run shard-worker count too.
 package fleet
 
 import (
@@ -250,12 +251,9 @@ func (s *Spec) Validate() error {
 	if _, err := scenario.ParseMix(s.Mix); err != nil {
 		return fmt.Errorf("fleet %q: %v", name, err)
 	}
-	if c := s.Churn; c != nil {
-		// Reuse the generator's churn validation via a minimal GenSpec.
-		probe := scenario.GenSpec{Name: name, VCPUs: s.VCPUs, Churn: c}
-		probe.Mix, _ = scenario.ParseMix(s.Mix)
-		if err := probe.Validate(); err != nil {
-			return err
+	if s.Churn != nil {
+		if err := s.Churn.Validate(); err != nil {
+			return fmt.Errorf("fleet %q: %v", name, err)
 		}
 	}
 	return nil
@@ -286,67 +284,30 @@ func (s *Spec) GenVMs() ([]VMSpec, error) {
 	topo := *sp.Topo // drawers size working sets off a private copy
 	md := scenario.NewMixDrawer(mix, cfg, &topo)
 
-	// Tenant weights, cumulative in declaration order.
+	// Tenant weights, cumulative in declaration order. Every VM draws
+	// its tenant and then its app from the same stream.
 	var tcum []float64
 	ttotal := 0.0
 	for _, t := range sp.Tenants {
 		ttotal += t.Weight
 		tcum = append(tcum, ttotal)
 	}
-	drawTenant := func(rng *sim.RNG) int {
+	tenant := 0
+	draw := func(rng *sim.RNG, label uint64) workload.AppSpec {
 		u := rng.Float64() * ttotal
+		tenant = len(tcum) - 1
 		for i, c := range tcum {
 			if u < c {
-				return i
+				tenant = i
+				break
 			}
 		}
-		return len(tcum) - 1
+		return md.Draw(rng, label)
 	}
 
 	var out []VMSpec
-	// Initial population: the same fork label the scenario generator
-	// uses for standing populations.
-	prng := sim.NewRNG(sp.GenSeed).Fork(0x5CE0)
-	budget := sp.VCPUs
-	for i := 0; budget > 0; i++ {
-		tenant := drawTenant(prng)
-		app := md.Draw(prng, uint64(i))
-		if app.Kind == workload.KindLock && app.Threads > budget {
-			app.Threads = budget
-		}
-		app.Name = fmt.Sprintf("%s-%02d", app.Name, i)
-		budget -= scenario.VCPUsOf(app)
-		out = append(out, VMSpec{Tenant: tenant, App: app})
-	}
-
-	// Churn: Poisson arrivals with exponential lifetimes from the
-	// generator's churn fork label — adding churn never perturbs the
-	// standing population's draws.
-	if sp.Churn != nil {
-		c := *sp.Churn
-		if c.Start == 0 {
-			c.Start = 50 * sim.Millisecond
-		}
-		if c.MinLifetime == 0 {
-			c.MinLifetime = 200 * sim.Millisecond
-		}
-		crng := sim.NewRNG(sp.GenSeed).Fork(0xC4A2)
-		meanInter := sim.Time(float64(sim.Second) / c.Rate)
-		at := c.Start
-		for k := 0; c.MaxVMs == 0 || k < c.MaxVMs; k++ {
-			at += crng.ExpTime(meanInter)
-			if at >= c.Horizon {
-				break
-			}
-			tenant := drawTenant(crng)
-			app := md.Draw(crng, uint64(k)+0x11)
-			app.Name = fmt.Sprintf("chn%02d-%s", k, app.Name)
-			life := crng.ExpTime(c.MeanLifetime)
-			if life < c.MinLifetime {
-				life = c.MinLifetime
-			}
-			out = append(out, VMSpec{ArriveAt: at, Lifetime: life, Tenant: tenant, App: app})
-		}
-	}
+	scenario.DrawPopulation(sp.GenSeed, sp.VCPUs, sp.Churn, draw, func(app workload.AppSpec, at, life sim.Time) {
+		out = append(out, VMSpec{ArriveAt: at, Lifetime: life, Tenant: tenant, App: app})
+	})
 	return out, nil
 }

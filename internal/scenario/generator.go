@@ -76,13 +76,84 @@ type ChurnSpec struct {
 	MaxVMs int
 }
 
-// effectiveStart is Start with its default applied (Validate and
-// Generate must agree on it).
-func (c *ChurnSpec) effectiveStart() sim.Time {
+// withDefaults applies the 50 ms Start and 200 ms MinLifetime defaults
+// (Validate and DrawPopulation must agree on them).
+func (c ChurnSpec) withDefaults() ChurnSpec {
 	if c.Start == 0 {
-		return 50 * sim.Millisecond
+		c.Start = 50 * sim.Millisecond
 	}
-	return c.Start
+	if c.MinLifetime == 0 {
+		c.MinLifetime = 200 * sim.Millisecond
+	}
+	return c
+}
+
+// Validate reports an error for an unusable churn block; the scenario
+// and fleet generators both call it and prefix their own name.
+func (c *ChurnSpec) Validate() error {
+	start := c.withDefaults().Start
+	switch {
+	case c.Rate <= 0 || math.IsNaN(c.Rate) || math.IsInf(c.Rate, 0):
+		return fmt.Errorf("churn arrival rate %v must be positive and finite", c.Rate)
+	case c.MeanLifetime <= 0:
+		return fmt.Errorf("churn mean lifetime %v must be positive", c.MeanLifetime)
+	case c.Horizon <= 0:
+		return fmt.Errorf("churn horizon is required (no arrivals at or after it)")
+	case c.Start < 0 || c.Horizon <= start:
+		// Validate against the default Start DrawPopulation will apply,
+		// or a tiny horizon would pass here and silently produce a
+		// churn-free "churn" population.
+		return fmt.Errorf("churn horizon %v must exceed start %v", c.Horizon, start)
+	case c.MinLifetime < 0 || c.MaxVMs < 0:
+		return fmt.Errorf("churn min lifetime and max VMs must be non-negative")
+	}
+	if expected := c.Rate * (c.Horizon - start).Seconds(); expected > maxChurnArrivals {
+		return fmt.Errorf("churn expects ~%.0f arrivals, more than the %d sanity cap", expected, maxChurnArrivals)
+	}
+	return nil
+}
+
+// DrawPopulation draws a generated VM population from seed and hands
+// every VM to add in draw order. The standing population fills budget
+// vCPUs (at = life = 0; the last lock gang is clamped to what is left)
+// from seed's 0x5CE0 fork. Churn, when set, then adds Poisson arrivals
+// with exponential lifetimes (at > 0) from the 0xC4A2 fork, so adding
+// churn never perturbs the standing draws. draw synthesizes one VM from
+// the stream it is handed and the VM's fork label. The scenario and
+// fleet generators both draw through here.
+func DrawPopulation(seed uint64, budget int, churn *ChurnSpec,
+	draw func(rng *sim.RNG, label uint64) workload.AppSpec,
+	add func(app workload.AppSpec, at, life sim.Time)) {
+	rng := sim.NewRNG(seed).Fork(0x5CE0)
+	for i := 0; budget > 0; i++ {
+		app := draw(rng, uint64(i))
+		if app.Kind == workload.KindLock && app.Threads > budget {
+			app.Threads = budget
+		}
+		app.Name = fmt.Sprintf("%s-%02d", app.Name, i)
+		budget -= VCPUsOf(app)
+		add(app, 0, 0)
+	}
+	if churn == nil {
+		return
+	}
+	c := churn.withDefaults()
+	crng := sim.NewRNG(seed).Fork(0xC4A2)
+	meanInter := sim.Time(float64(sim.Second) / c.Rate)
+	at := c.Start
+	for k := 0; c.MaxVMs == 0 || k < c.MaxVMs; k++ {
+		at += crng.ExpTime(meanInter)
+		if at >= c.Horizon {
+			break
+		}
+		app := draw(crng, uint64(k)+0x11)
+		app.Name = fmt.Sprintf("chn%02d-%s", k, app.Name)
+		life := crng.ExpTime(c.MeanLifetime)
+		if life < c.MinLifetime {
+			life = c.MinLifetime
+		}
+		add(app, at, life)
+	}
 }
 
 // ParseMix converts a name → weight map (spec-file form) into a typed
@@ -171,8 +242,6 @@ func VCPUsOf(s workload.AppSpec) int {
 	return 1
 }
 
-func vcpusOf(s workload.AppSpec) int { return VCPUsOf(s) }
-
 // Sanity caps on generator sizes: a typo (or a fuzzer) asking for a
 // billion vCPUs or arrivals must fail validation, not exhaust memory
 // expanding the population.
@@ -209,7 +278,7 @@ func (g *GenSpec) Validate() error {
 	}
 	fixed := 0
 	for _, f := range g.Fixed {
-		fixed += vcpusOf(f)
+		fixed += VCPUsOf(f)
 	}
 	if fixed > g.VCPUs {
 		return fmt.Errorf("scenario: generator %q: fixed apps need %d vCPUs but the budget is %d", g.Name, fixed, g.VCPUs)
@@ -226,26 +295,11 @@ func (g *GenSpec) Validate() error {
 		}
 	}
 	if g.Churn != nil {
-		c := g.Churn
-		switch {
-		case c.Rate <= 0 || math.IsNaN(c.Rate) || math.IsInf(c.Rate, 0):
-			return fmt.Errorf("scenario: generator %q: churn arrival rate %v must be positive and finite", g.Name, c.Rate)
-		case c.MeanLifetime <= 0:
-			return fmt.Errorf("scenario: generator %q: churn mean lifetime %v must be positive", g.Name, c.MeanLifetime)
-		case c.Horizon <= 0:
-			return fmt.Errorf("scenario: generator %q: churn horizon is required (no arrivals at or after it)", g.Name)
-		case c.Start < 0 || c.Horizon <= c.effectiveStart():
-			// Validate against the same default Start that Generate will
-			// apply, or a tiny horizon would pass here and silently
-			// produce a churn-free "churn" scenario.
-			return fmt.Errorf("scenario: generator %q: churn horizon %v must exceed start %v", g.Name, c.Horizon, c.effectiveStart())
-		case c.MinLifetime < 0 || c.MaxVMs < 0:
-			return fmt.Errorf("scenario: generator %q: churn min lifetime and max VMs must be non-negative", g.Name)
-		case len(g.Mix) == 0 && len(g.Phases) == 0:
-			return fmt.Errorf("scenario: generator %q: churn needs a mix or phases to draw VMs from", g.Name)
+		if err := g.Churn.Validate(); err != nil {
+			return fmt.Errorf("scenario: generator %q: %v", g.Name, err)
 		}
-		if expected := c.Rate * (c.Horizon - c.effectiveStart()).Seconds(); expected > maxChurnArrivals {
-			return fmt.Errorf("scenario: generator %q: churn expects ~%.0f arrivals, more than the %d sanity cap", g.Name, expected, maxChurnArrivals)
+		if len(g.Mix) == 0 && len(g.Phases) == 0 {
+			return fmt.Errorf("scenario: generator %q: churn needs a mix or phases to draw VMs from", g.Name)
 		}
 	}
 	return nil
@@ -292,7 +346,7 @@ func (g *GenSpec) Generate() (Spec, error) {
 	var apps []Entry
 	budget := g.VCPUs
 	for _, f := range g.Fixed {
-		budget -= vcpusOf(f)
+		budget -= VCPUsOf(f)
 		apps = append(apps, Entry{Spec: f, Count: 1})
 	}
 
@@ -326,45 +380,14 @@ func (g *GenSpec) Generate() (Spec, error) {
 		return cfg.Synthesize(vrng, typ, topo)
 	}
 
-	rng := sim.NewRNG(g.Seed).Fork(0x5CE0)
-	for i := 0; budget > 0; i++ {
-		s := drawApp(rng, uint64(i))
-		if s.Kind == workload.KindLock && s.Threads > budget {
-			// Clamp the last gang to the remaining budget.
-			s.Threads = budget
-		}
-		s.Name = fmt.Sprintf("%s-%02d", s.Name, i)
-		budget -= vcpusOf(s)
-		apps = append(apps, Entry{Spec: s, Count: 1})
-	}
-
-	// VM churn: a Poisson arrival process with exponential lifetimes,
-	// drawn from its own fork so adding churn never perturbs the
-	// standing population's draws.
 	var arrivals []Arrival
-	if g.Churn != nil {
-		c := *g.Churn
-		c.Start = c.effectiveStart()
-		if c.MinLifetime == 0 {
-			c.MinLifetime = 200 * sim.Millisecond
-		}
-		crng := sim.NewRNG(g.Seed).Fork(0xC4A2)
-		meanInter := sim.Time(float64(sim.Second) / c.Rate)
-		at := c.Start
-		for k := 0; c.MaxVMs == 0 || k < c.MaxVMs; k++ {
-			at += crng.ExpTime(meanInter)
-			if at >= c.Horizon {
-				break
-			}
-			s := drawApp(crng, uint64(k)+0x11)
-			s.Name = fmt.Sprintf("chn%02d-%s", k, s.Name)
-			life := crng.ExpTime(c.MeanLifetime)
-			if life < c.MinLifetime {
-				life = c.MinLifetime
-			}
+	DrawPopulation(g.Seed, budget, g.Churn, drawApp, func(s workload.AppSpec, at, life sim.Time) {
+		if at == 0 {
+			apps = append(apps, Entry{Spec: s, Count: 1})
+		} else {
 			arrivals = append(arrivals, Arrival{At: at, Spec: s, Lifetime: life})
 		}
-	}
+	})
 
 	name := g.Name
 	if name == "" {

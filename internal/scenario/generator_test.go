@@ -1,6 +1,9 @@
 package scenario
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
 	"reflect"
 	"strings"
 	"testing"
@@ -60,6 +63,58 @@ func TestGenerateDeterministic(t *testing.T) {
 	// Expansions must not share the topology value across runs.
 	if a.Topo == b.Topo {
 		t.Error("two expansions share one *hw.Topology")
+	}
+}
+
+// frozenGenDigest is the sha256 of genDigest(frozenGenSpec()),
+// recorded while GenSpec.Generate still carried its own population and
+// churn loops. It is an independent reference for the draw order of
+// every generator feature at once: fixed apps, a mix with lock gangs
+// (clamped to the budget), phased VMs and churn.
+const frozenGenDigest = "934436c1b8d07808bc48d004c3004c47a40a574e42a92c6aa1bab2b2c560498e"
+
+func frozenGenSpec() GenSpec {
+	g := genSpec()
+	g.VCPUs = 26 // the last draw is a ConSpin gang clamped to 3 vCPUs
+	g.Fixed = []workload.AppSpec{workload.ByName("bzip2"), workload.ByName("facesim")}
+	g.Phases = []workload.AppPhase{
+		{Dur: 300 * sim.Millisecond, Type: vcputype.LLCF},
+		{Dur: 200 * sim.Millisecond, Type: vcputype.IOInt},
+	}
+	g.PhaseProb = 0.4
+	g.Churn = &ChurnSpec{Rate: 20, MeanLifetime: 300 * sim.Millisecond, Horizon: 800 * sim.Millisecond}
+	return g
+}
+
+// genDigest is a sha256 over the generated name, guest pCPUs, standing
+// population and churn timeline, in their JSON encoding (which
+// round-trips float64 values bit-exactly).
+func genDigest(t *testing.T, s Spec) string {
+	t.Helper()
+	h := sha256.New()
+	if err := json.NewEncoder(h).Encode(struct {
+		Name     string
+		PCPUs    any
+		Apps     []Entry
+		Arrivals []Arrival
+	}{s.Name, s.GuestPCPUs, s.Apps, s.Arrivals}); err != nil {
+		t.Fatal(err)
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// TestGenerateFrozenDigest: the generator's output must not drift.
+func TestGenerateFrozenDigest(t *testing.T) {
+	g := frozenGenSpec()
+	s, err := g.Generate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(s.Arrivals) == 0 {
+		t.Fatal("frozen spec drew no churn arrivals")
+	}
+	if got := genDigest(t, s); got != frozenGenDigest {
+		t.Errorf("generator digest %s, want the frozen %s", got, frozenGenDigest)
 	}
 }
 

@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"regexp"
-	"sort"
 	"time"
 
 	"aqlsched/internal/atomicio"
@@ -150,33 +148,6 @@ func (j *job) broadcast() {
 	j.updated = make(chan struct{})
 }
 
-var checkpointRE = regexp.MustCompile(`^run-(\d{5})\.json$`)
-
-// scanJournal lists the checkpointed run indexes of a job's journal
-// directory, ascending; a missing directory is an empty journal.
-// Checkpoint writes are atomic, so presence means a complete record.
-func scanJournal(dir string) ([]int, error) {
-	ents, err := os.ReadDir(dir)
-	if os.IsNotExist(err) {
-		return nil, nil
-	}
-	if err != nil {
-		return nil, err
-	}
-	var idxs []int
-	for _, e := range ents {
-		m := checkpointRE.FindStringSubmatch(e.Name())
-		if m == nil {
-			continue
-		}
-		var idx int
-		fmt.Sscanf(m[1], "%d", &idx)
-		idxs = append(idxs, idx)
-	}
-	sort.Ints(idxs)
-	return idxs, nil
-}
-
 // loadJob reads one job directory back into a runtime job, rebuilding
 // the stream state from the journal. Unknown or corrupt directories
 // return an error and are skipped by recovery (never wedge the boot).
@@ -193,7 +164,7 @@ func loadJob(dir string) (*job, error) {
 		return nil, fmt.Errorf("%s: incomplete job record", filepath.Join(dir, jobFile))
 	}
 	j := newJob(rec, dir)
-	idxs, err := scanJournal(j.journalDir())
+	idxs, err := sweep.Checkpoints(j.journalDir())
 	if err != nil {
 		return nil, err
 	}

@@ -318,6 +318,38 @@ func TestCrashRecoveryByteIdentity(t *testing.T) {
 	compareArtifacts(t, filepath.Join(s2.jobsRoot(), view.ID), "serve-quick", want, "recovered job")
 }
 
+// TestBootCountsSixDigitCheckpoints: run indexes past 99999 get
+// six-digit checkpoint names, and a boot over a finished job must count
+// them like any other journaled run.
+func TestBootCountsSixDigitCheckpoints(t *testing.T) {
+	dir := t.TempDir()
+	jobDir := filepath.Join(dir, "jobs", "job-000001")
+	journal := filepath.Join(jobDir, journalDirName)
+	if err := os.MkdirAll(journal, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	rec := newJob(Job{
+		ID: "job-000001", Seq: 1, User: "ada", Weight: 1,
+		Manifest: sweep.Manifest{Runs: 100001}, State: StateDone,
+	}, jobDir)
+	if err := rec.persist(); err != nil {
+		t.Fatal(err)
+	}
+	for _, idx := range []int{99999, 100000} {
+		if err := os.WriteFile(sweep.CheckpointPath(journal, idx), []byte("{}\n"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s := newTestServer(t, dir)
+	v, err := s.Job("job-000001")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v.DoneRuns != 2 {
+		t.Errorf("boot counted %d journaled runs, want 2 (runs 99999 and 100000)", v.DoneRuns)
+	}
+}
+
 // --- HTTP API end to end ----------------------------------------------------
 
 func submitJSON(t *testing.T, ts *httptest.Server, body string) JobView {

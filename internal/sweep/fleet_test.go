@@ -106,6 +106,11 @@ func TestSpecFileFleetErrorPaths(t *testing.T) {
 			"combines a fleet block",
 		},
 		{
+			"churn without horizon",
+			`{"scenarios": [{"fleet": {"hosts": 2, "vcpus": 8, "mix": {"IOInt": 1}, "churn": {"rate_per_sec": 5, "mean_life_ms": 100}}}], "policies": ["xen"]}`,
+			"churn horizon is required",
+		},
+		{
 			"unknown fleet key",
 			`{"scenarios": [{"fleet": {"hosts": 2, "vcpus": 8, "mix": {"IOInt": 1}, "hypervisor": "kvm"}}], "policies": ["xen"]}`,
 			"hypervisor",

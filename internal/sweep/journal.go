@@ -189,19 +189,12 @@ func OpenJournal(dir string) (*Journal, *Manifest, error) {
 		return nil, nil, fmt.Errorf("sweep: journal %s: %v", dir, err)
 	}
 	j := &Journal{dir: dir, restored: map[int]RunResult{}}
-	ents, err := os.ReadDir(dir)
+	idxs, err := Checkpoints(dir)
 	if err != nil {
 		return nil, nil, err
 	}
-	names := make([]string, 0, len(ents))
-	for _, e := range ents {
-		if n := e.Name(); len(n) > 4 && n[:4] == "run-" && filepath.Ext(n) == ".json" {
-			names = append(names, n)
-		}
-	}
-	sort.Strings(names)
-	for _, n := range names {
-		data, err := os.ReadFile(filepath.Join(dir, n))
+	for _, idx := range idxs {
+		data, err := os.ReadFile(CheckpointPath(dir, idx))
 		if err != nil {
 			continue
 		}
@@ -273,7 +266,32 @@ func (j *Journal) Checkpoint(idx int) ([]byte, error) {
 // Exposed so aqlsweepd can stream checkpoints of journals it is not
 // currently executing (finished or recovered jobs).
 func CheckpointPath(dir string, idx int) string {
-	return filepath.Join(dir, fmt.Sprintf("run-%05d.json", idx))
+	return filepath.Join(dir, checkpointName(idx))
+}
+
+func checkpointName(idx int) string { return fmt.Sprintf("run-%05d.json", idx) }
+
+// Checkpoints lists the run indexes checkpointed in a journal
+// directory, ascending; a missing directory is an empty journal. It
+// accepts exactly the names CheckpointPath writes, at any index width.
+// Checkpoint writes are atomic, so presence means a complete record.
+func Checkpoints(dir string) ([]int, error) {
+	ents, err := os.ReadDir(dir)
+	if os.IsNotExist(err) {
+		return nil, nil
+	}
+	if err != nil {
+		return nil, err
+	}
+	var idxs []int
+	for _, e := range ents {
+		var idx int
+		if _, err := fmt.Sscanf(e.Name(), "run-%d.json", &idx); err == nil && e.Name() == checkpointName(idx) {
+			idxs = append(idxs, idx)
+		}
+	}
+	sort.Ints(idxs)
+	return idxs, nil
 }
 
 // Dir is the journal's directory.

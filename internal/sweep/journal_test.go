@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -144,6 +145,32 @@ func TestJournalSkipsCorruptCheckpoint(t *testing.T) {
 // TestRunTimeoutMarksFailed: the watchdog must convert a hung cell into
 // a failed run instead of hanging the whole sweep. A 1 ns budget makes
 // every real run overrun.
+// TestCheckpointsListsExactlyCheckpointNames: the lister is the inverse
+// of CheckpointPath at any index width, and ignores every other file.
+func TestCheckpointsListsExactlyCheckpointNames(t *testing.T) {
+	dir := t.TempDir()
+	for _, idx := range []int{100000, 3, 99999} {
+		if err := os.WriteFile(CheckpointPath(dir, idx), nil, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, n := range []string{"manifest.json", "run-7.json", "run-00008.json.tmp", "run-+0009.json"} {
+		if err := os.WriteFile(filepath.Join(dir, n), nil, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got, err := Checkpoints(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []int{3, 99999, 100000}; !reflect.DeepEqual(got, want) {
+		t.Errorf("Checkpoints = %v, want %v", got, want)
+	}
+	if got, err := Checkpoints(filepath.Join(dir, "missing")); got != nil || err != nil {
+		t.Errorf("missing journal = %v, %v; want empty", got, err)
+	}
+}
+
 func TestRunTimeoutMarksFailed(t *testing.T) {
 	res, err := Exec(journalSpec(t), Options{Workers: 2, RunTimeout: time.Nanosecond})
 	if err != nil {

@@ -18,19 +18,6 @@ import (
 	"aqlsched/internal/workload"
 )
 
-// --- Named axis points (thin catalog lookups) ------------------------------
-
-// ScenarioByName resolves a scenario axis point from the catalog:
-// S1–S5 (Table 4), "four-socket" (Fig. 3 / Fig. 6 right), and anything
-// registered since.
-func ScenarioByName(name string) (Scenario, error) {
-	sc, err := catalog.ScenarioByName(name)
-	if err != nil {
-		return Scenario{}, err
-	}
-	return Scenario{Name: sc.Name, New: sc.New}, nil
-}
-
 // --- Declarative spec files ------------------------------------------------
 
 // File is the JSON on-disk sweep specification consumed by aqlsweep.
@@ -468,12 +455,12 @@ func (f *File) scenarioAxis(i int, r ScenarioRef) (Scenario, error) {
 		return f.genAxis(i, r.Gen)
 
 	case r.Name != "":
-		sc, err := ScenarioByName(r.Name)
+		sc, err := catalog.ScenarioByName(r.Name)
 		if err != nil {
 			return Scenario{}, err
 		}
 		if r.Topology == "" {
-			return sc, nil
+			return Scenario{Name: sc.Name, New: sc.New}, nil
 		}
 		topo, err := f.topology(r.Topology)
 		if err != nil {

@@ -180,7 +180,6 @@ func (s *Spec) Runs() []Run {
 // measurement Sets plus the run-scoped metric Set (hypervisor
 // counters, adaptation diagnostics). Policy keeps the exact policy
 // instance used, so AQL runs expose their controller (see Controller).
-// Raw is retained only under Options.KeepRaw.
 type RunResult struct {
 	Run
 	Apps  []scenario.AppMeasure
@@ -190,7 +189,6 @@ type RunResult struct {
 	Metrics metrics.Set
 	// Instance is the exact policy value used by this run.
 	Instance scenario.Policy
-	Raw      *scenario.Result
 	// Err records a panic from the run (the sweep keeps going).
 	Err error
 	// Elapsed is the wall-clock cost of the run (diagnostic only; never
@@ -214,9 +212,6 @@ type Options struct {
 	Workers int
 	// Progress, when non-nil, receives one line per completed run.
 	Progress io.Writer
-	// KeepRaw retains every run's full *scenario.Result (hypervisor,
-	// deployments). Costly on big grids; off by default.
-	KeepRaw bool
 	// Journal, when non-nil, checkpoints every completed run and skips
 	// runs the journal already holds — the crash-safe resume path.
 	Journal *Journal
@@ -503,13 +498,10 @@ func execOne(spec *Spec, run Run, opts Options) (rr RunResult) {
 	rr.PerVM = res.PerVM
 	rr.Metrics = res.Metrics
 	rr.Instance = pol
-	if opts.KeepRaw {
-		rr.Raw = res
-	} else if ctl := rr.Controller(); ctl != nil {
+	if ctl := rr.Controller(); ctl != nil {
 		// Keep the controller's diagnostics (LastPlan, Reclusters) but
 		// release the hypervisor and monitoring history it anchors —
-		// otherwise every AQL run would pin a full simulation graph,
-		// defeating the point of KeepRaw being opt-in.
+		// otherwise every AQL run would pin a full simulation graph.
 		ctl.H = nil
 		ctl.Monitor = nil
 	}

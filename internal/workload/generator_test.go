@@ -91,20 +91,3 @@ func TestSynthesizeScalesWithTopology(t *testing.T) {
 		t.Errorf("LLCO WSS %d does not overflow the 32 MB LLC", b.Prof.WSS)
 	}
 }
-
-func TestLookup(t *testing.T) {
-	s, err := Lookup("bzip2")
-	if err != nil || s.Name != "bzip2" {
-		t.Fatalf("Lookup(bzip2) = %+v, %v", s, err)
-	}
-	if _, err := Lookup("quake3"); err == nil || !strings.Contains(err.Error(), "quake3") {
-		t.Errorf("Lookup(quake3) error = %v", err)
-	}
-	// ByName stays the panicking internal helper.
-	defer func() {
-		if recover() == nil {
-			t.Error("ByName(quake3) did not panic")
-		}
-	}()
-	ByName("quake3")
-}
