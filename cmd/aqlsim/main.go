@@ -8,17 +8,13 @@
 // prints every valid name):
 //
 //	aqlsim -scenario S1..S5|four-socket|dynphase -policy xen|aql|aql-w:<n>|vturbo|vslicer|microsliced|fixed:<dur>|aql-nocustom:<dur>
-//	       [-quantum 30ms] [-warmup 2s] [-measure 6s] [-seed N]
-//
-// `-policy fixed -quantum 5ms` is accepted as back-compat sugar for
-// `-policy fixed:5ms`.
+//	       [-warmup 2s] [-measure 6s] [-seed N]
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
-	"sort"
 	"strings"
 	"time"
 
@@ -27,6 +23,7 @@ import (
 	"aqlsched/internal/report"
 	"aqlsched/internal/scenario"
 	"aqlsched/internal/sim"
+	"aqlsched/internal/sweep"
 )
 
 // fmtMetric renders one registry metric value with its unit; "us"
@@ -51,10 +48,9 @@ func fmtMetric(name string, v float64) string {
 func main() {
 	scen := flag.String("scenario", "S5", "catalog scenario name (aqlsweep -list prints them)")
 	policy := flag.String("policy", "aql", "catalog policy name or parameterized form (fixed:<dur>, aql-nocustom:<dur>, aql-w:<n>)")
-	quantum := flag.Duration("quantum", 30*time.Millisecond, "back-compat: with -policy fixed, shorthand for fixed:<quantum>")
 	warmup := flag.Duration("warmup", 2*time.Second, "warm-up window (simulated)")
 	measure := flag.Duration("measure", 6*time.Second, "measurement window (simulated)")
-	seed := flag.Uint64("seed", 0xA91, "simulation seed")
+	seed := flag.Uint64("seed", sweep.DefaultSeed, "simulation seed")
 	flag.Parse()
 
 	fail := func(format string, args ...any) {
@@ -67,12 +63,7 @@ func main() {
 		fail("unknown scenario %q (known: %s)", *scen, strings.Join(catalog.Scenarios.Names(), ", "))
 	}
 
-	polName := *policy
-	if polName == "fixed" {
-		// Pre-catalog spelling: -policy fixed -quantum 5ms.
-		polName = fmt.Sprintf("fixed:%s", *quantum)
-	}
-	p, err := catalog.PolicyByName(polName)
+	p, err := catalog.PolicyByName(*policy)
 	if err != nil {
 		fail("%v", err)
 	}
@@ -100,8 +91,13 @@ func main() {
 			t.AddRow(a.Name, a.Expected.String(), name, fmtMetric(name, v))
 		}
 	}
+	count := func(m metrics.Desc) uint64 {
+		v, _ := res.Metrics.Get(m.Name)
+		return uint64(v)
+	}
 	t.AddNote("context switches: %d, preemptions: %d, pool migrations: %d, wall time: %v",
-		res.CtxSwitches, res.Preemptions, res.PoolMigrations, time.Since(start).Round(time.Millisecond))
+		count(scenario.MCtxSwitches), count(scenario.MPreemptions), count(scenario.MPoolMigrations),
+		time.Since(start).Round(time.Millisecond))
 	t.Render(os.Stdout)
 
 	if cp, ok := pol.(scenario.ControllerProvider); ok {
@@ -111,23 +107,7 @@ func main() {
 				Headers: []string{"cluster", "quantum", "pCPUs", "members"},
 			}
 			for _, c := range ctl.LastPlan.Clusters {
-				byVariant := map[string]int{}
-				for _, m := range c.Members {
-					byVariant[m.Variant()]++
-				}
-				keys := make([]string, 0, len(byVariant))
-				for k := range byVariant {
-					keys = append(keys, k)
-				}
-				sort.Strings(keys)
-				line := ""
-				for i, k := range keys {
-					if i > 0 {
-						line += ", "
-					}
-					line += fmt.Sprintf("%d %s", byVariant[k], k)
-				}
-				ct.AddRow(c.Name, c.Quantum.String(), len(c.PCPUs), line)
+				ct.AddRow(c.Name, c.Quantum.String(), len(c.PCPUs), c.MemberSummary())
 			}
 			ct.Render(os.Stdout)
 		}

@@ -54,7 +54,6 @@ import (
 
 	"aqlsched/internal/catalog"
 	"aqlsched/internal/scenario"
-	"aqlsched/internal/sim"
 	"aqlsched/internal/sweep"
 )
 
@@ -149,8 +148,7 @@ func main() {
 			fmt.Fprintf(os.Stderr, "aqlsweep: -seed 0 is reserved for the default; running with base seed %#x\n", sweep.DefaultSeed)
 		}
 		if *quick {
-			spec.Warmup = 1 * sim.Second
-			spec.Measure = 2500 * sim.Millisecond
+			spec.Warmup, spec.Measure = sweep.QuickWarmup, sweep.QuickMeasure
 		}
 		if outDir != "" {
 			journal, err = createJournal(spec, src, builtin, outDir)

@@ -17,7 +17,7 @@ import (
 
 func main() {
 	quick := flag.Bool("quick", false, "reduced measurement windows and sweeps")
-	seed := flag.Uint64("seed", 0xA91, "simulation seed")
+	seed := flag.Uint64("seed", experiments.DefaultConfig().Seed, "simulation seed")
 	flag.Parse()
 
 	cfg := experiments.DefaultConfig()

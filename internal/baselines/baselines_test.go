@@ -60,7 +60,7 @@ func TestPoliciesRunS5(t *testing.T) {
 					t.Errorf("%s: %d instances", a.Name, a.Instances)
 				}
 			}
-			if res.CtxSwitches == 0 {
+			if v, _ := res.Metrics.Get(scenario.MCtxSwitches.Name); v == 0 {
 				t.Error("hypervisor never context-switched")
 			}
 		})

@@ -5,6 +5,11 @@
 // quantum per type — or flags the type as quantum-agnostic when the
 // spread is insignificant.
 //
+// Colo builds the Section 3.4.1 colocation environment every such
+// measurement runs in. The evaluation reuses it unchanged: Fig. 2
+// (this package), Table 3's recognition census and Fig. 5's
+// per-application quantum sweep all measure their subject in Colo.
+//
 // The paper automated this with a deployment framework (Roboconf) and a
 // self-benchmarking tool (CLIF); here the same loop runs in-process on
 // the simulator.
@@ -58,7 +63,8 @@ type Case struct {
 }
 
 // Cases returns the calibration subjects of Fig. 2 (a)-(f).
-func Cases(topo *hw.Topology) []Case {
+func Cases() []Case {
+	topo := hw.I73770()
 	return []Case{
 		{Label: "Excl. IOInt", Type: vcputype.IOInt, Spec: workload.MicroWeb(false)},
 		{Label: "Hetero. IOInt", Type: vcputype.IOInt, Spec: workload.MicroWeb(true), UseForTable: true},
@@ -117,25 +123,22 @@ type Report struct {
 	AgnosticTypes []vcputype.Type
 }
 
-// Options configure a calibration run.
+// Options configure a calibration run on the i7-3770 topology.
 type Options struct {
-	Topo *hw.Topology
 	// PerPCPU lists the consolidation ratios to sweep (default {2,4}).
 	PerPCPU []int
 	// Warmup and Measure default to 1s and 3s.
 	Warmup, Measure sim.Time
 	Seed            uint64
-	// Repeats averages each point over several seeds (default 3):
-	// consolidated schedules are bistable (aligned vs. convoyed gangs)
-	// and single runs sample alignment luck, exactly like single runs
-	// on real hardware.
-	Repeats int
 }
 
+// repeats is the number of seeds each point is averaged over:
+// consolidated schedules are bistable (aligned vs. convoyed gangs) and
+// single runs sample alignment luck, exactly like single runs on real
+// hardware.
+const repeats = 3
+
 func (o *Options) fill() {
-	if o.Topo == nil {
-		o.Topo = hw.I73770()
-	}
 	if len(o.PerPCPU) == 0 {
 		o.PerPCPU = []int{2, 4}
 	}
@@ -148,68 +151,65 @@ func (o *Options) fill() {
 	if o.Seed == 0 {
 		o.Seed = 0xCA11B
 	}
-	if o.Repeats <= 0 {
-		o.Repeats = 3
-	}
 }
 
-// disturber returns the i-th colocated VM spec: a mix of trashing and
-// low-footprint workloads ("various workload types", Section 3.4.1).
-// Job sizes vary per instance so rotation periods decorrelate.
-func disturber(topo *hw.Topology, i int) workload.AppSpec {
-	s := workload.MicroListWalk(topo, vcputype.LLCO)
-	if i%2 == 1 {
-		s = workload.MicroListWalk(topo, vcputype.LoLCF)
+// Colo builds the Section 3.4.1 measurement environment for one
+// application on the i7-3770: the subject VM colocated with disturber
+// VMs so that k vCPUs share each pCPU. Single-vCPU subjects run on one
+// pCPU with k-1 disturbers; multi-vCPU subjects (kernbench) run on one
+// pCPU per vCPU, with k-1 disturbers per pCPU. The disturbers mix
+// trashing and low-footprint list walks ("various workload types"),
+// with job sizes varied per instance so rotation periods decorrelate.
+func Colo(app workload.AppSpec, k int, warmup, measure sim.Time, seed uint64) scenario.Spec {
+	topo := hw.I73770()
+	pcpus := 1
+	if app.Kind == workload.KindLock {
+		pcpus = app.Threads
+		if pcpus <= 0 {
+			pcpus = 4
+		}
 	}
-	s.Steady = false // disturbers keep housekeeping pauses: schedule drift
-	s.JobWork += sim.Time(i%5) * 1700 * sim.Microsecond
-	return s
-}
-
-// caseSpec builds the colocation scenario for one calibration case at
-// consolidation ratio k. Single-vCPU subjects run on one pCPU with k-1
-// disturbers; multi-vCPU subjects (kernbench) run on as many pCPUs as
-// they have vCPUs, with (k-1) disturbers per pCPU.
-func caseSpec(c Case, k int, o Options) scenario.Spec {
-	subjectVCPUs := 1
-	if c.Spec.Kind == workload.KindLock {
-		subjectVCPUs = c.Spec.Threads
-	}
-	pcpus := subjectVCPUs
 	var ids []hw.PCPUID
 	for i := 0; i < pcpus; i++ {
 		ids = append(ids, hw.PCPUID(i))
 	}
-	apps := []scenario.Entry{{Spec: c.Spec, Count: 1}}
-	nDist := (k - 1) * pcpus
-	for i := 0; i < nDist; i++ {
-		apps = append(apps, scenario.Entry{Spec: disturber(o.Topo, i), Count: 1})
+	apps := []scenario.Entry{{Spec: app, Count: 1}}
+	for i := 0; i < (k-1)*pcpus; i++ {
+		d := workload.MicroListWalk(topo, vcputype.LLCO)
+		if i%2 == 1 {
+			d = workload.MicroListWalk(topo, vcputype.LoLCF)
+		}
+		d.Steady = false // disturbers keep housekeeping pauses: schedule drift
+		d.JobWork += sim.Time(i%5) * 1700 * sim.Microsecond
+		apps = append(apps, scenario.Entry{Spec: d, Count: 1})
 	}
 	return scenario.Spec{
-		Name:       fmt.Sprintf("calib-%s-k%d", c.Label, k),
-		Topo:       o.Topo,
+		Name:       fmt.Sprintf("colo-%s-k%d", app.Name, k),
+		Topo:       topo,
 		GuestPCPUs: ids,
 		Apps:       apps,
-		Warmup:     o.Warmup,
-		Measure:    o.Measure,
-		Seed:       o.Seed,
+		Warmup:     warmup,
+		Measure:    measure,
+		Seed:       seed,
 	}
 }
 
+// repeatSeed is the seed of repetition r.
+func (o *Options) repeatSeed(r int) uint64 { return o.Seed + uint64(r)*7919 }
+
 // measure runs one case at quantum q and ratio k, returning the raw
-// metric of the subject application averaged over o.Repeats seeds.
+// metric of the subject application averaged over the repeats.
 func measure(c Case, q sim.Time, k int, o Options) float64 {
 	sum := 0.0
-	for r := 0; r < o.Repeats; r++ {
-		spec := caseSpec(c, k, o)
-		spec.Seed = o.Seed + uint64(r)*7919
+	for r := 0; r < repeats; r++ {
+		spec := Colo(c.Spec, k, o.Warmup, o.Measure, o.repeatSeed(r))
 		res := scenario.Run(spec, baselines.FixedQuantum{Q: q})
 		// A failed measurement (no jobs at all) contributes 0, exactly
 		// like the pre-registry scalar metric did.
 		v, _ := res.Apps[0].Perf()
 		sum += v
 	}
-	return sum / float64(o.Repeats)
+	return sum / repeats
 }
 
 // Run executes the full calibration sweep.
@@ -219,7 +219,7 @@ func Run(o Options) *Report {
 	bests := map[vcputype.Type]sim.Time{}
 	agnostic := map[vcputype.Type]bool{}
 
-	for _, c := range Cases(o.Topo) {
+	for _, c := range Cases() {
 		curve := Curve{Case: c}
 		// Baselines per ratio.
 		base := map[int]float64{}
@@ -294,20 +294,18 @@ func Run(o Options) *Report {
 
 // lockDuration measures the mean and worst spin-lock hold duration of
 // the ConSpin micro-benchmark consolidated at 4 vCPUs per pCPU,
-// aggregated over o.Repeats seeds.
+// aggregated over the repeats.
 func lockDuration(q sim.Time, o Options) (mean, max sim.Time) {
 	// Longer critical sections than the throughput micro-benchmark so
 	// that slice boundaries land inside holds often enough for the
 	// worst-hold statistic to stabilise within the measurement window.
-	spec := workload.MicroKernbench(4)
-	spec.Hold = 200 * sim.Microsecond
-	spec.Gap = 600 * sim.Microsecond
-	c := Case{Label: "lock", Type: vcputype.ConSpin, Spec: spec}
+	app := workload.MicroKernbench(4)
+	app.Hold = 200 * sim.Microsecond
+	app.Gap = 600 * sim.Microsecond
 	var meanSum sim.Time
 	n := 0
-	for r := 0; r < o.Repeats; r++ {
-		spec := caseSpec(c, 4, o)
-		spec.Seed = o.Seed + uint64(r)*7919
+	for r := 0; r < repeats; r++ {
+		spec := Colo(app, 4, o.Warmup, o.Measure, o.repeatSeed(r))
 		res := scenario.Run(spec, baselines.FixedQuantum{Q: q})
 		for _, d := range res.Deps {
 			if len(d.Locks) > 0 {

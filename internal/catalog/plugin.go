@@ -38,9 +38,9 @@ type PolicyDesc struct {
 }
 
 // Params carries the parsed, validated parameter values a plugin's
-// build function receives: ints as int64, durations as sim.Time,
-// floats as float64, strings as string. Only parameters the user
-// supplied (or that carry a declared default) are present.
+// build function receives: ints as int64, durations as sim.Time. Only
+// parameters the user supplied (or that carry a declared default) are
+// present.
 type Params map[string]any
 
 // Int reads an integer parameter.
@@ -52,18 +52,6 @@ func (p Params) Int(name string) (int, bool) {
 // Duration reads a duration parameter.
 func (p Params) Duration(name string) (sim.Time, bool) {
 	v, ok := p[name].(sim.Time)
-	return v, ok
-}
-
-// Float reads a float parameter.
-func (p Params) Float(name string) (float64, bool) {
-	v, ok := p[name].(float64)
-	return v, ok
-}
-
-// Str reads a string parameter.
-func (p Params) Str(name string) (string, bool) {
-	v, ok := p[name].(string)
 	return v, ok
 }
 
@@ -98,7 +86,7 @@ func RegisterPolicyPlugin(desc PolicyDesc, build func(Params) (Policy, error)) {
 		}
 		seen[d.Name] = true
 		switch d.Kind {
-		case scenario.ParamInt, scenario.ParamDuration, scenario.ParamFloat, scenario.ParamString:
+		case scenario.ParamInt, scenario.ParamDuration:
 		default:
 			panic(fmt.Sprintf("catalog: policy plugin %q parameter %q has unknown kind %q", desc.Name, d.Name, d.Kind))
 		}
@@ -216,23 +204,6 @@ func PolicyFromConfig(name string, raw map[string]any) (Policy, error) {
 		return Policy{}, err
 	}
 	return pl.build(params)
-}
-
-// PolicyNames lists the bare policy aliases — the spellings that
-// resolve with no ":" arguments — sorted.
-func PolicyNames() []string {
-	pluginMu.RLock()
-	defer pluginMu.RUnlock()
-	var out []string
-	for _, pl := range plugins {
-		if !pl.bareResolvable() {
-			continue
-		}
-		out = append(out, pl.desc.Name)
-		out = append(out, pl.desc.Aliases...)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // PolicyGrammar lists every valid policy spelling: the bare aliases
@@ -362,29 +333,19 @@ func (pl *policyPlugin) finish(params Params) error {
 // coerceText parses one textual parameter value under its declared
 // kind.
 func coerceText(d scenario.ParamDesc, raw string) (any, error) {
-	switch d.Kind {
-	case scenario.ParamInt:
-		n, err := strconv.ParseInt(raw, 10, 64)
-		if err != nil {
-			return nil, fmt.Errorf("catalog: bad %s %q: want an integer%s", d.Name, raw, rangeNote(d))
-		}
-		return n, nil
-	case scenario.ParamDuration:
+	if d.Kind == scenario.ParamDuration {
 		return ParseQuantum(raw)
-	case scenario.ParamFloat:
-		f, err := strconv.ParseFloat(raw, 64)
-		if err != nil {
-			return nil, fmt.Errorf("catalog: bad %s %q: want a number%s", d.Name, raw, rangeNote(d))
-		}
-		return f, nil
-	default:
-		return raw, nil
 	}
+	n, err := strconv.ParseInt(raw, 10, 64)
+	if err != nil {
+		return nil, fmt.Errorf("catalog: bad %s %q: want an integer%s", d.Name, raw, rangeNote(d))
+	}
+	return n, nil
 }
 
 // coerceJSON converts one decoded JSON value (string, number) to the
 // parameter's kind. Strings take the same spellings the grammar does;
-// numbers are accepted for int (integral only) and float kinds.
+// integral numbers are accepted for the int kind.
 func coerceJSON(d scenario.ParamDesc, v any) (any, error) {
 	switch x := v.(type) {
 	case string:
@@ -394,20 +355,16 @@ func coerceJSON(d scenario.ParamDesc, v any) (any, error) {
 		// specs do; fold into the float64 path.
 		return coerceJSON(d, float64(x))
 	case float64:
-		switch d.Kind {
-		case scenario.ParamInt:
-			n := int64(x)
-			if float64(n) != x {
-				return nil, fmt.Errorf("catalog: bad %s %v: want an integer%s", d.Name, x, rangeNote(d))
-			}
-			return n, nil
-		case scenario.ParamFloat:
-			return x, nil
-		case scenario.ParamDuration:
+		if d.Kind == scenario.ParamDuration {
 			return nil, fmt.Errorf("catalog: bad %s %v: want a duration string like \"5ms\"", d.Name, x)
 		}
+		n := int64(x)
+		if float64(n) != x {
+			return nil, fmt.Errorf("catalog: bad %s %v: want an integer%s", d.Name, x, rangeNote(d))
+		}
+		return n, nil
 	}
-	return nil, fmt.Errorf("catalog: bad %s value %v (%T): want a string%s", d.Name, v, v, map[bool]string{true: " or number", false: ""}[d.Kind == scenario.ParamInt || d.Kind == scenario.ParamFloat])
+	return nil, fmt.Errorf("catalog: bad %s value %v (%T): want a string%s", d.Name, v, v, map[bool]string{true: " or number", false: ""}[d.Kind == scenario.ParamInt])
 }
 
 // checkRange enforces the declared inclusive [Min, Max] bounds.
@@ -439,17 +396,6 @@ func checkRange(d scenario.ParamDesc, v any) error {
 				return out
 			}
 		}
-	case float64:
-		if d.Min != "" {
-			if min, _ := strconv.ParseFloat(d.Min, 64); x < min {
-				return out
-			}
-		}
-		if d.Max != "" {
-			if max, _ := strconv.ParseFloat(d.Max, 64); x > max {
-				return out
-			}
-		}
 	}
 	return nil
 }
@@ -462,15 +408,10 @@ func render(v any) string {
 }
 
 func kindNoun(k scenario.ParamKind) string {
-	switch k {
-	case scenario.ParamInt:
+	if k == scenario.ParamInt {
 		return "an integer"
-	case scenario.ParamDuration:
-		return "a duration"
-	case scenario.ParamFloat:
-		return "a number"
 	}
-	return "a value"
+	return "a duration"
 }
 
 func orInf(bound string) string {

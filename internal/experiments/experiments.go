@@ -19,21 +19,17 @@
 // reproduce (see EXPERIMENTS.md).
 //
 // The grid-shaped experiments (Fig. 5, Fig. 6, Fig. 7, Fig. 8) are
-// declared as sweep.Spec values and executed by the internal/sweep
-// orchestrator on a worker pool — the same grids are runnable
-// standalone via cmd/aqlsweep.
+// sweep.Spec values executed by the internal/sweep orchestrator on a
+// worker pool. Fig. 6 (right) and Fig. 8 run the built-in
+// "four-socket" and "fig8" grids, which `aqlsweep -spec <name>` runs
+// standalone; Fig. 7 is the "four-socket" grid with its ablations on
+// the policy axis.
 package experiments
 
 import (
-	"fmt"
-
 	"aqlsched/internal/catalog"
-	"aqlsched/internal/hw"
-	"aqlsched/internal/scenario"
 	"aqlsched/internal/sim"
 	"aqlsched/internal/sweep"
-	"aqlsched/internal/vcputype"
-	"aqlsched/internal/workload"
 )
 
 // Config controls experiment durations.
@@ -45,14 +41,14 @@ type Config struct {
 }
 
 // DefaultConfig is the full-length configuration.
-func DefaultConfig() Config { return Config{Seed: 0xA91} }
+func DefaultConfig() Config { return Config{Seed: sweep.DefaultSeed} }
 
 // QuickConfig is the reduced configuration.
-func QuickConfig() Config { return Config{Quick: true, Seed: 0xA91} }
+func QuickConfig() Config { return Config{Quick: true, Seed: sweep.DefaultSeed} }
 
 func (c Config) seed() uint64 {
 	if c.Seed == 0 {
-		return 0xA91
+		return sweep.DefaultSeed
 	}
 	return c.Seed
 }
@@ -83,49 +79,22 @@ func mustScenario(name string) sweep.Scenario {
 	return sweep.Scenario{Name: sc.Name, New: sc.New}
 }
 
+// builtin returns a built-in sweep grid run with the configuration's
+// seed and windows.
+func builtin(name string, cfg Config) *sweep.Spec {
+	sp, ok := sweep.Builtin(name)
+	if !ok {
+		panic("experiments: no built-in sweep " + name)
+	}
+	sp.BaseSeed = cfg.seed()
+	sp.Warmup, sp.Measure = cfg.windows()
+	return sp
+}
+
 // windows returns (warmup, measure).
 func (c Config) windows() (sim.Time, sim.Time) {
 	if c.Quick {
-		return 1 * sim.Second, 2500 * sim.Millisecond
+		return sweep.QuickWarmup, sweep.QuickMeasure
 	}
 	return 2 * sim.Second, 6 * sim.Second
-}
-
-// Colo builds the paper's standard measurement environment for one
-// application: the subject VM colocated with disturber VMs so that k
-// vCPUs share each pCPU (Sections 3.4.1 and 4.1). Single-vCPU subjects
-// get one pCPU; multi-vCPU subjects get one pCPU per vCPU.
-func Colo(app workload.AppSpec, k int, cfg Config) scenario.Spec {
-	topo := hw.I73770()
-	subjectVCPUs := 1
-	if app.Kind == workload.KindLock {
-		subjectVCPUs = app.Threads
-		if subjectVCPUs <= 0 {
-			subjectVCPUs = 4
-		}
-	}
-	var ids []hw.PCPUID
-	for i := 0; i < subjectVCPUs; i++ {
-		ids = append(ids, hw.PCPUID(i))
-	}
-	apps := []scenario.Entry{{Spec: app, Count: 1}}
-	for i := 0; i < (k-1)*subjectVCPUs; i++ {
-		d := workload.MicroListWalk(topo, vcputype.LLCO)
-		if i%2 == 1 {
-			d = workload.MicroListWalk(topo, vcputype.LoLCF)
-		}
-		d.Steady = false // disturbers keep housekeeping pauses: schedule drift
-		d.JobWork += sim.Time(i%5) * 1700 * sim.Microsecond
-		apps = append(apps, scenario.Entry{Spec: d, Count: 1})
-	}
-	warm, meas := cfg.windows()
-	return scenario.Spec{
-		Name:       fmt.Sprintf("colo-%s-k%d", app.Name, k),
-		Topo:       topo,
-		GuestPCPUs: ids,
-		Apps:       apps,
-		Warmup:     warm,
-		Measure:    meas,
-		Seed:       cfg.seed(),
-	}
 }

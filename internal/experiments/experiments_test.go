@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"bytes"
+	"os"
 	"strings"
 	"testing"
 
@@ -305,4 +307,21 @@ func TestAdaptationLatencyGrowsWithWindow(t *testing.T) {
 			first.Window, first.Migrations, last.Window, last.Migrations)
 	}
 	res.Table() // must render
+}
+
+// TestAllQuickGolden pins the whole quick evaluation byte for byte. The
+// experiments only choose and shape inputs that the scenario, sweep and
+// calib layers own, so a refactor of who builds them must leave every
+// table unchanged.
+func TestAllQuickGolden(t *testing.T) {
+	want, err := os.ReadFile("testdata/all_quick.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	All(QuickConfig(), &buf)
+	if got := buf.Bytes(); !bytes.Equal(got, want) {
+		t.Errorf("quick evaluation drifted from testdata/all_quick.golden (%d bytes got, %d want):\n%s",
+			len(got), len(want), got)
+	}
 }

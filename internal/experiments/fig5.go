@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"aqlsched/internal/calib"
 	"aqlsched/internal/catalog"
 	"aqlsched/internal/report"
 	"aqlsched/internal/scenario"
@@ -89,11 +90,12 @@ func Fig5Sweep(cfg Config) *sweep.Spec {
 	for _, q := range Fig5Quanta() {
 		sp.Policies = append(sp.Policies, catalog.FixedPolicy(q))
 	}
+	warm, meas := cfg.windows()
 	for _, app := range Fig5Suite(cfg) {
 		app := app
 		sp.Scenarios = append(sp.Scenarios, sweep.Scenario{
 			Name: "colo-" + app.Name,
-			New:  func() scenario.Spec { return Colo(app, 4, cfg) },
+			New:  func() scenario.Spec { return calib.Colo(app, 4, warm, meas, cfg.seed()) },
 		})
 	}
 	return sp

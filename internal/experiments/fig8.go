@@ -3,7 +3,6 @@ package experiments
 import (
 	"sort"
 
-	"aqlsched/internal/catalog"
 	"aqlsched/internal/report"
 	"aqlsched/internal/sweep"
 )
@@ -24,33 +23,13 @@ type Fig8Result struct {
 	Norm map[string]map[string]float64
 }
 
-// Fig8Sweep declares the comparison: scenario S5 under the default Xen
-// scheduler (the baseline) and the four contenders.
-func Fig8Sweep(cfg Config) *sweep.Spec {
-	warm, meas := cfg.windows()
-	return &sweep.Spec{
-		Name:      "fig8",
-		Scenarios: []sweep.Scenario{mustScenario("S5")},
-		Policies: []catalog.Policy{
-			catalog.XenPolicy(),
-			catalog.VTurboPolicy(),
-			catalog.MicroslicedPolicy(),
-			catalog.VSlicerPolicy(),
-			catalog.AQLPolicy(),
-		},
-		Baseline: catalog.XenPolicy().Name,
-		BaseSeed: cfg.seed(),
-		Warmup:   warm,
-		Measure:  meas,
-	}
-}
-
 // Fig8 runs S5 under vTurbo, Microsliced, vSlicer and AQL_Sched,
 // normalizing each over the default Xen scheduler (the paper's Fig. 8).
 // The baselines have no type recognition, so — exactly as the authors
-// did — they are configured manually for their best behaviour.
+// did — they are configured manually for their best behaviour. The
+// grid is the built-in "fig8" sweep.
 func Fig8(cfg Config) *Fig8Result {
-	sp := Fig8Sweep(cfg)
+	sp := builtin("fig8", cfg)
 	res := mustSweep(sp, sweep.Options{})
 	out := &Fig8Result{Norm: map[string]map[string]float64{}}
 	for _, pol := range sp.Policies {

@@ -28,21 +28,6 @@ type Fig6RightResult struct {
 	Reclusters uint64
 }
 
-// FourSocketSweep declares a sweep of the Fig. 3 population under the
-// given policy axis.
-func FourSocketSweep(cfg Config, name, baseline string, pols []catalog.Policy) *sweep.Spec {
-	warm, meas := cfg.windows()
-	return &sweep.Spec{
-		Name:      name,
-		Scenarios: []sweep.Scenario{mustScenario("four-socket")},
-		Policies:  pols,
-		Baseline:  baseline,
-		BaseSeed:  cfg.seed(),
-		Warmup:    warm,
-		Measure:   meas,
-	}
-}
-
 // perVMNorm pairs two runs' per-VM measurements: measured metric over
 // baseline metric, keyed by domain name.
 func perVMNorm(measured, base *sweep.RunResult) map[string]float64 {
@@ -66,12 +51,12 @@ func perVMNorm(measured, base *sweep.RunResult) map[string]float64 {
 
 // Fig6Right runs the Fig. 3 population (12 LLCO, 12 IOInt+, 17 LLCF,
 // 7 ConSpin- vCPUs on three guest sockets) under default Xen and AQL,
-// reporting normalized performance per cluster as the paper does.
+// reporting normalized performance per cluster as the paper does. The
+// grid is the built-in "four-socket" sweep.
 func Fig6Right(cfg Config) *Fig6RightResult {
-	sp := FourSocketSweep(cfg, "fig6-right", catalog.XenPolicy().Name,
-		[]catalog.Policy{catalog.XenPolicy(), catalog.AQLPolicy()})
+	sp := builtin("four-socket", cfg)
 	res := mustSweep(sp, sweep.Options{})
-	base := res.RunFor("four-socket", catalog.XenPolicy().Name, 0)
+	base := res.RunFor("four-socket", sp.Baseline, 0)
 	aql := res.RunFor("four-socket", catalog.AQLPolicy().Name, 0)
 
 	// Per-VM normalized performance.
@@ -139,7 +124,8 @@ type Fig7Result struct {
 // Fig7 replays the 4-socket experiment with the clustering step active
 // but the quantum customization disabled — every pool runs a fixed
 // small (1 ms), medium (30 ms) or large (90 ms) quantum — and
-// normalizes over the full AQL_Sched run (the paper's Fig. 7).
+// normalizes over the full AQL_Sched run (the paper's Fig. 7): the
+// "four-socket" grid with the ablations on its policy axis.
 func Fig7(cfg Config) *Fig7Result {
 	cases := []struct {
 		label string
@@ -153,7 +139,8 @@ func Fig7(cfg Config) *Fig7Result {
 	for _, cse := range cases {
 		pols = append(pols, catalog.AQLNoCustomPolicy(cse.q))
 	}
-	sp := FourSocketSweep(cfg, "fig7", catalog.AQLPolicy().Name, pols)
+	sp := builtin("four-socket", cfg)
+	sp.Name, sp.Policies, sp.Baseline = "fig7", pols, catalog.AQLPolicy().Name
 	res := mustSweep(sp, sweep.Options{})
 	full := res.RunFor("four-socket", catalog.AQLPolicy().Name, 0)
 	variantOf := map[string]string{}

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"aqlsched/internal/baselines"
+	"aqlsched/internal/calib"
 	"aqlsched/internal/core"
 	"aqlsched/internal/report"
 	"aqlsched/internal/scenario"
@@ -25,9 +26,10 @@ type Table3Result struct {
 // reports the type vTRS detects — the paper's Table 3.
 func Table3(cfg Config) *Table3Result {
 	out := &Table3Result{}
+	warm, meas := cfg.windows()
 	for _, app := range table3Suite(cfg) {
 		var ctl *core.Controller
-		spec := Colo(app, 4, cfg)
+		spec := calib.Colo(app, 4, warm, meas, cfg.seed())
 		res := scenario.Run(spec, baselines.AQL{MonitorOnly: true, Out: &ctl})
 		detected := ctl.Monitor.TypeOf(res.Deps[0].Dom.VCPUs[0])
 		out.Entries = append(out.Entries, Table3Entry{

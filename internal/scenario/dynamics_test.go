@@ -6,6 +6,7 @@ import (
 	"aqlsched/internal/baselines"
 	"aqlsched/internal/core"
 	"aqlsched/internal/hw"
+	"aqlsched/internal/metrics"
 	"aqlsched/internal/scenario"
 	"aqlsched/internal/sim"
 	"aqlsched/internal/vcputype"
@@ -145,9 +146,15 @@ func TestDynamicRunDeterminism(t *testing.T) {
 			t.Errorf("app %d diverged: %+v vs %+v", i, a.Apps[i], b.Apps[i])
 		}
 	}
-	if a.CtxSwitches != b.CtxSwitches || a.PoolMigrations != b.PoolMigrations {
-		t.Errorf("diagnostics diverged: ctx %d/%d mig %d/%d",
-			a.CtxSwitches, b.CtxSwitches, a.PoolMigrations, b.PoolMigrations)
+	counter := func(r *scenario.Result, m metrics.Desc) float64 {
+		v, _ := r.Metrics.Get(m.Name)
+		return v
+	}
+	if counter(a, scenario.MCtxSwitches) != counter(b, scenario.MCtxSwitches) ||
+		counter(a, scenario.MPoolMigrations) != counter(b, scenario.MPoolMigrations) {
+		t.Errorf("diagnostics diverged: ctx %v/%v mig %v/%v",
+			counter(a, scenario.MCtxSwitches), counter(b, scenario.MCtxSwitches),
+			counter(a, scenario.MPoolMigrations), counter(b, scenario.MPoolMigrations))
 	}
 	if !a.Metrics.Equal(b.Metrics) {
 		t.Error("run metric sets diverged across identical runs")

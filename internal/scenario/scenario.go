@@ -94,11 +94,6 @@ type Result struct {
 	// under a recognizing policy, the adaptation diagnostics — all
 	// recorded through the same registry the per-app metrics use.
 	Metrics metrics.Set
-	// Hypervisor diagnostics (also present in Metrics).
-	CtxSwitches uint64
-	Preemptions uint64
-	// PoolMigrations counts vCPU pool moves over the whole run.
-	PoolMigrations uint64
 	// Adapt keeps the full adaptation drill-down of a dynamic run under
 	// a recognizing policy (nil otherwise): the per-VM recognized-vs-
 	// truth time series behind the adapt_* metrics.
@@ -236,13 +231,10 @@ func Run(spec Spec, pol Policy) *Result {
 	states := map[string]*appState{}
 	var order []string
 	res := &Result{
-		Spec:           spec,
-		Policy:         pol.Name(),
-		CtxSwitches:    h.CtxSwitches,
-		Preemptions:    h.Preemptions,
-		PoolMigrations: h.PoolMigrations,
-		Hyp:            h,
-		Deps:           deps,
+		Spec:   spec,
+		Policy: pol.Name(),
+		Hyp:    h,
+		Deps:   deps,
 	}
 	res.Metrics.Put(MCtxSwitches, float64(h.CtxSwitches))
 	res.Metrics.Put(MPreemptions, float64(h.Preemptions))

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"aqlsched/internal/atomicio"
-	"aqlsched/internal/sim"
 	"aqlsched/internal/sweep"
 )
 
@@ -250,8 +249,7 @@ func (r *SubmitRequest) buildManifest() (sweep.Manifest, error) {
 		spec.BaseSeed = r.BaseSeed
 	}
 	if r.Quick {
-		spec.Warmup = 1 * sim.Second
-		spec.Measure = 2500 * sim.Millisecond
+		spec.Warmup, spec.Measure = sweep.QuickWarmup, sweep.QuickMeasure
 	}
 	return sweep.NewManifest(spec, src, builtin), nil
 }

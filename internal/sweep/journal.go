@@ -121,11 +121,6 @@ func (m *Manifest) Rebuild() (*Spec, error) {
 	return spec, nil
 }
 
-// FingerprintBuiltin fingerprints a built-in sweep reference.
-func FingerprintBuiltin(name string) string {
-	return fingerprint([]byte("builtin:" + name))
-}
-
 // FingerprintSpec fingerprints raw spec-file bytes.
 func FingerprintSpec(data []byte) string {
 	return fingerprint(data)

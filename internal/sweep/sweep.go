@@ -30,8 +30,17 @@ import (
 	"aqlsched/internal/sim"
 )
 
-// DefaultSeed matches the experiments package default.
+// DefaultSeed seeds every sweep that sets no BaseSeed; the paper
+// evaluation (internal/experiments) runs with it too.
 const DefaultSeed uint64 = 0xA91
+
+// QuickWarmup and QuickMeasure are the reduced windows of quick runs:
+// aqlsweep -quick, a daemon job submitted with "quick", and the
+// experiments' quick configuration.
+const (
+	QuickWarmup  = 1 * sim.Second
+	QuickMeasure = 2500 * sim.Millisecond
+)
 
 // Scenario is one point on the scenario axis. Exactly one of New and
 // NewFleet is set: New builds a fresh single-host scenario.Spec,

@@ -128,13 +128,6 @@ func Compute(delta hw.Counters, lim Limits) Cursors {
 	return c
 }
 
-// TypeHysteresis is the margin (in cursor percentage points) a new
-// candidate type's average must exceed the current type's average by
-// before the recognizer switches. It damps borderline flapping, which
-// would otherwise translate into vCPU migration churn (the concern that
-// made the paper pick n = 4 rather than 1).
-const TypeHysteresis = 8.0
-
 // TieBand generalizes the paper's priority-order tie-break to noisy
 // measurements: among cursor averages within TieBand points of the
 // maximum, the highest-priority (most specific) type wins. The LoLCF
@@ -150,9 +143,6 @@ type Recognizer struct {
 	hist   []Cursors
 	next   int
 	filled int
-
-	hasType bool
-	current vcputype.Type
 }
 
 // NewRecognizer builds a recognizer with the given window length.
@@ -207,9 +197,12 @@ func (r *Recognizer) Averages() Cursors {
 }
 
 // Type reports the recognized vCPU type: the highest cursor average,
-// ties broken by the paper's priority order (specific types first), with
-// hysteresis against borderline flapping. Before any sample arrives, the
-// default is LoLCF (an idle vCPU).
+// ties (within TieBand) broken by the paper's priority order, specific
+// types first. Before any sample arrives, the default is LoLCF (an idle
+// vCPU). Type is a pure function of the current window and keeps no
+// memory of earlier answers, so a borderline vCPU can flip from one
+// period to the next; the window length n is the only damping, which is
+// why the paper picks n = 4 rather than 1.
 func (r *Recognizer) Type() vcputype.Type {
 	if r.filled == 0 {
 		return vcputype.LoLCF
@@ -229,7 +222,5 @@ func (r *Recognizer) Type() vcputype.Type {
 			break
 		}
 	}
-	r.hasType = true
-	r.current = best
 	return best
 }
