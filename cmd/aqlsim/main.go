@@ -58,7 +58,7 @@ func main() {
 		os.Exit(2)
 	}
 
-	sc, err := catalog.ScenarioByName(*scen)
+	newSpec, err := catalog.Scenarios.Lookup(*scen)
 	if err != nil {
 		fail("unknown scenario %q (known: %s)", *scen, strings.Join(catalog.Scenarios.Names(), ", "))
 	}
@@ -68,7 +68,7 @@ func main() {
 		fail("%v", err)
 	}
 
-	spec := sc.New()
+	spec := newSpec()
 	spec.Seed = *seed
 	spec.Warmup = sim.Time(warmup.Microseconds())
 	spec.Measure = sim.Time(measure.Microseconds())

@@ -53,6 +53,8 @@ import (
 	"time"
 
 	"aqlsched/internal/catalog"
+	"aqlsched/internal/fleet"
+	"aqlsched/internal/metrics"
 	"aqlsched/internal/scenario"
 	"aqlsched/internal/sweep"
 )
@@ -64,7 +66,7 @@ func main() {
 		listMetrics = flag.Bool("list-metrics", false, "list the metric registry (name, unit, direction, aggregation, scope), then exit")
 		metricsSel  = flag.String("metrics", "", "comma-separated metric names to emit (default: all; see -list-metrics)")
 		workers     = flag.Int("workers", 0, "worker goroutines (0 = GOMAXPROCS)")
-		fleetWork   = flag.Int("fleet-workers", 0, "shard each fleet run's host advances across this many goroutines (0 = the spec's hint, else GOMAXPROCS; 1 = serial; results are byte-identical at any value)")
+		fleetWork   = flag.Int("fleet-workers", 0, "shard each fleet run's host advances across this many goroutines (0 = GOMAXPROCS; 1 = serial; results are byte-identical at any value)")
 		out         = flag.String("out", "", "output directory for <name>.json/.csv/.txt artifacts (also enables the crash-safe run journal)")
 		resume      = flag.String("resume", "", "resume an interrupted sweep from its journal directory (<out>/<name>.journal); journaled runs are skipped")
 		runTimeout  = flag.Duration("run-timeout", 10*time.Minute, "per-run watchdog: a run still executing after this is marked FAILED (0 disables)")
@@ -230,7 +232,7 @@ func main() {
 // built-in sweeps.
 func printCatalog(w io.Writer) {
 	fmt.Fprintln(w, "topologies (spec files may also define their own under \"topologies\"):")
-	for _, n := range catalog.TopologyNames() {
+	for _, n := range catalog.Topologies.Names() {
 		t, err := catalog.TopologyByName(n)
 		if err != nil {
 			// A registered name that fails to build is a broken
@@ -260,12 +262,8 @@ func printCatalog(w io.Writer) {
 		}
 	}
 
-	// Axes registered by layers above the core catalog (the fleet's
-	// placement policies, and whatever comes next).
-	for _, ax := range catalog.ExtraAxes() {
-		fmt.Fprintf(w, "\n%s (for {\"fleet\": {...}} scenario entries):\n", ax.Kind)
-		fmt.Fprintf(w, "  %s\n", strings.Join(ax.Names, " "))
-	}
+	fmt.Fprintln(w, "\nplacements (for {\"fleet\": {...}} scenario entries):")
+	fmt.Fprintf(w, "  %s\n", strings.Join(fleet.Placements.Names(), " "))
 
 	fmt.Fprintln(w, "\nbuilt-in sweeps:")
 	for _, n := range sweep.BuiltinNames() {
@@ -318,7 +316,7 @@ func fmtPolicyParam(p scenario.ParamDesc, positional string) string {
 func printMetrics(w io.Writer) {
 	fmt.Fprintln(w, "metrics (registration order = artifact column order; select with -metrics name,name,...):")
 	fmt.Fprintf(w, "  %-22s %-8s %-9s %-11s %-8s %s\n", "NAME", "UNIT", "DIRECTION", "AGGREGATION", "SCOPE", "DESCRIPTION")
-	for _, d := range catalog.MetricDescs() {
+	for _, d := range metrics.Descs() {
 		name := d.Name
 		if d.Primary {
 			name += "*"

@@ -9,15 +9,26 @@ package main
 
 import (
 	"flag"
+	"fmt"
 	"os"
 
 	"aqlsched/internal/experiments"
 )
 
+// defaultSeed is calibrate's own simulation seed.
+const defaultSeed = 0xCA11B
+
 func main() {
 	quick := flag.Bool("quick", false, "reduced measurement windows")
-	seed := flag.Uint64("seed", 0xCA11B, "simulation seed")
+	seed := flag.Uint64("seed", defaultSeed, "simulation seed (non-zero)")
 	flag.Parse()
+	// The evaluation layer reads seed 0 as "use the sweep default", so
+	// an explicit -seed 0 would silently run a different seed from the
+	// one asked for.
+	if *seed == 0 {
+		fmt.Fprintf(os.Stderr, "calibrate: -seed 0 is reserved; omit -seed for calibrate's default 0x%X\n", defaultSeed)
+		os.Exit(2)
+	}
 
 	cfg := experiments.DefaultConfig()
 	if *quick {

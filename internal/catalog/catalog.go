@@ -1,11 +1,14 @@
-// Package catalog is the name → factory registry layer between the
-// paper's concrete catalogue (machines, benchmark apps, colocation
-// scenarios, scheduling policies) and everything that references
-// experiment axes by name (sweep spec files, cmd/aqlsweep, the
-// experiments package). Each axis has a registry; the paper's entries
-// register themselves in papers.go, and new entries — generated
-// scenarios, custom machines — join through the same Register calls, so
-// spec authors and tools discover every valid name from one place.
+// Package catalog is where experiment names resolve: the name → factory
+// registries between the paper's concrete catalogue (machines,
+// benchmark apps, colocation scenarios, scheduling policies) and
+// everything that references experiment axes by name (sweep spec files,
+// cmd/aqlsweep, cmd/aqlsim, the experiments package). Machines,
+// scenarios and workloads each have a Registry, policies a plugin
+// registry; the paper's entries register themselves in papers.go, and
+// new entries — generated scenarios, custom machines — join through the
+// same Register calls, so spec authors and tools discover every valid
+// name from one place. Metrics are registered with their Desc in
+// internal/metrics, which importing the catalog populates.
 //
 // Registries hold factories, not values: every lookup constructs fresh
 // state, which is what lets the sweep layer run grid cells concurrently
@@ -14,6 +17,7 @@ package catalog
 
 import (
 	"fmt"
+	"reflect"
 	"sort"
 	"strings"
 	"sync"
@@ -38,12 +42,15 @@ func NewRegistry[T any](kind string) *Registry[T] {
 	return &Registry[T]{kind: kind, m: map[string]T{}}
 }
 
-// Register adds an entry. It panics on an empty name or a duplicate:
-// registries are populated from init functions and a collision is a
-// programming error, not an input error.
+// Register adds an entry. It panics on an empty name, a nil factory or a
+// duplicate: registries are populated from init functions and a
+// collision is a programming error, not an input error.
 func (r *Registry[T]) Register(name string, v T) {
 	if name == "" {
 		panic("catalog: Register with empty " + r.kind + " name")
+	}
+	if rv := reflect.ValueOf(&v).Elem(); rv.Kind() == reflect.Func && rv.IsNil() {
+		panic(fmt.Sprintf("catalog: %s %q registered with a nil factory", r.kind, name))
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -87,19 +94,18 @@ func (r *Registry[T]) Names() []string {
 
 // --- Domain registries -----------------------------------------------------
 
-// Scenario is one resolvable scenario axis point: a display name plus a
-// constructor returning a fresh scenario.Spec per run.
-type Scenario struct {
-	Name string
-	New  func() scenario.Spec
-}
-
 // Policy is one resolvable policy axis point: the canonical display
 // name plus a constructor returning a fresh policy instance per run.
+// Policies are parameterized ("fixed:10ms", "aql-w:8"), so they resolve
+// through the plugin registry of plugin.go rather than a Registry.
 type Policy struct {
 	Name string
 	New  func() scenario.Policy
 }
+
+// Topologies maps machine names (the paper's i7-3770 and
+// xeon-e5-4603, and anything registered later) to topology factories.
+var Topologies = NewRegistry[func() *hw.Topology]("topology")
 
 // Scenarios maps scenario names (S1..S5, four-socket, and anything
 // registered later) to spec constructors.
@@ -108,13 +114,13 @@ var Scenarios = NewRegistry[func() scenario.Spec]("scenario")
 // Workloads maps benchmark application names to AppSpec factories.
 var Workloads = NewRegistry[func() workload.AppSpec]("workload")
 
-// ScenarioByName resolves a scenario axis point.
-func ScenarioByName(name string) (Scenario, error) {
-	f, err := Scenarios.Lookup(name)
+// TopologyByName returns a fresh copy of a registered machine.
+func TopologyByName(name string) (*hw.Topology, error) {
+	f, err := Topologies.Lookup(name)
 	if err != nil {
-		return Scenario{}, err
+		return nil, err
 	}
-	return Scenario{Name: name, New: f}, nil
+	return f(), nil
 }
 
 // WorkloadByName resolves a benchmark application by name, with a
@@ -127,98 +133,9 @@ func WorkloadByName(name string) (workload.AppSpec, error) {
 	return f(), nil
 }
 
-// --- Policies ---------------------------------------------------------------
-//
-// Policies are parameterized ("fixed:10ms", "aql-w:8"), so the policy
-// axis is a plugin registry (plugin.go): a descriptor declaring
-// aliases and typed knobs plus a build function, from which the string
-// grammar, the spec-file {"policy": ...} block, and the -list
-// documentation all derive.
-
-// --- Extra axes ------------------------------------------------------------
-//
-// Layers above the catalog (the fleet's placement policies) own their
-// registries but still want their names discoverable next to the core
-// axes. RegisterAxis hooks a name lister under an axis kind; aqlsweep
-// -list walks ExtraAxes so new axes show up without the catalog
-// importing their packages (which would cycle).
-
-type extraAxis struct {
-	kind  string
-	names func() []string
-}
-
-var (
-	axisMu sync.RWMutex
-	axes   []extraAxis
-)
-
-// RegisterAxis publishes an additional catalog axis: kind labels it in
-// listings ("placements"), names lists its valid entries. Registered
-// once per kind, from init functions.
-func RegisterAxis(kind string, names func() []string) {
-	if kind == "" || names == nil {
-		panic("catalog: RegisterAxis needs a kind and a lister")
-	}
-	axisMu.Lock()
-	defer axisMu.Unlock()
-	for _, a := range axes {
-		if a.kind == kind {
-			panic(fmt.Sprintf("catalog: axis %q registered twice", kind))
-		}
-	}
-	axes = append(axes, extraAxis{kind: kind, names: names})
-}
-
-// ExtraAxis is one published additional axis.
-type ExtraAxis struct {
-	Kind  string
-	Names []string
-}
-
-// ExtraAxes lists the registered additional axes in registration order,
-// with their current names resolved.
-func ExtraAxes() []ExtraAxis {
-	axisMu.RLock()
-	defer axisMu.RUnlock()
-	out := make([]ExtraAxis, 0, len(axes))
-	for _, a := range axes {
-		out = append(out, ExtraAxis{Kind: a.kind, Names: a.names()})
-	}
-	return out
-}
-
-// --- Topologies ------------------------------------------------------------
-//
-// The canonical topology registry lives in internal/hw so that layers
-// below the catalog (scenario generation) can resolve machines without
-// importing it; the catalog exposes the same registry as its topology
-// axis.
-
-// TopologyByName returns a fresh copy of a registered machine.
-func TopologyByName(name string) (*hw.Topology, error) { return hw.TopologyByName(name) }
-
-// TopologyNames lists the registered machines, sorted.
-func TopologyNames() []string { return hw.TopologyNames() }
-
-// RegisterTopology adds a named machine to the shared registry.
-func RegisterTopology(name string, f func() *hw.Topology) { hw.RegisterTopology(name, f) }
-
-// --- Metrics ---------------------------------------------------------------
-//
-// The canonical metric registry lives in internal/metrics (the scenario
-// layer registers the paper's measurements at init); the catalog
-// exposes it as the discovery surface tooling uses, exactly like the
-// other axes.
-
-// MetricDescs lists every registered measurement descriptor in
-// registration order — the column order of schema-driven artifacts.
-// Importing the catalog guarantees the scenario layer's registrations
-// have run.
-func MetricDescs() []metrics.Desc { return metrics.Descs() }
-
-// MetricByName resolves one metric descriptor, with a clean error for
-// user-supplied names (aqlsweep -metrics).
+// MetricByName resolves one metric descriptor of the registry in
+// internal/metrics, with a clean error for user-supplied names
+// (aqlsweep -metrics).
 func MetricByName(name string) (metrics.Desc, error) {
 	if d, ok := metrics.DescByName(name); ok {
 		return d, nil

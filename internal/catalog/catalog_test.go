@@ -5,6 +5,8 @@ import (
 	"strings"
 	"testing"
 
+	"aqlsched/internal/hw"
+	"aqlsched/internal/metrics"
 	"aqlsched/internal/scenario"
 	"aqlsched/internal/sim"
 )
@@ -47,24 +49,24 @@ func TestRegistryRoundTrip(t *testing.T) {
 // scenario to exactly what the scenario package constructs directly.
 func TestPaperScenariosRegistered(t *testing.T) {
 	for _, name := range []string{"S1", "S2", "S3", "S4", "S5"} {
-		sc, err := ScenarioByName(name)
+		newSpec, err := Scenarios.Lookup(name)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		got := sc.New()
+		got := newSpec()
 		want := scenario.ScenarioByName(name, 0)
 		if !reflect.DeepEqual(got, want) {
 			t.Errorf("%s: catalog spec differs from scenario.ScenarioByName", name)
 		}
 	}
-	fs, err := ScenarioByName("four-socket")
+	fs, err := Scenarios.Lookup("four-socket")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := fs.New(), scenario.FourSocket(0); !reflect.DeepEqual(got, want) {
+	if got, want := fs(), scenario.FourSocket(0); !reflect.DeepEqual(got, want) {
 		t.Error("four-socket: catalog spec differs from scenario.FourSocket")
 	}
-	if _, err := ScenarioByName("S9"); err == nil {
+	if _, err := Scenarios.Lookup("S9"); err == nil {
 		t.Error("unknown scenario resolved")
 	}
 }
@@ -134,7 +136,7 @@ func TestPolicyInstancesAreFresh(t *testing.T) {
 }
 
 func TestTopologiesExposed(t *testing.T) {
-	names := TopologyNames()
+	names := Topologies.Names()
 	joined := strings.Join(names, " ")
 	if !strings.Contains(joined, "i7-3770") || !strings.Contains(joined, "xeon-e5-4603") {
 		t.Fatalf("paper machines missing from catalog: %v", names)
@@ -142,6 +144,20 @@ func TestTopologiesExposed(t *testing.T) {
 	topo, err := TopologyByName("xeon-e5-4603")
 	if err != nil || topo.Sockets != 4 {
 		t.Errorf("TopologyByName(xeon-e5-4603) = %+v, %v", topo, err)
+	}
+	i7, err := TopologyByName("i7-3770")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(i7, hw.I73770()) {
+		t.Error("catalog i7-3770 differs from hw.I73770()")
+	}
+	// Lookups return fresh copies, never a shared value.
+	if other, _ := TopologyByName("i7-3770"); i7 == other {
+		t.Error("catalog handed out the same *Topology twice")
+	}
+	if _, err := TopologyByName("pdp-11"); err == nil || !strings.Contains(err.Error(), "pdp-11") {
+		t.Errorf("unknown topology error = %v", err)
 	}
 }
 
@@ -176,23 +192,23 @@ func TestAQLWindowPolicyGrammar(t *testing.T) {
 }
 
 func TestDynphaseScenarioRegistered(t *testing.T) {
-	sc, err := ScenarioByName("dynphase")
+	newSpec, err := Scenarios.Lookup("dynphase")
 	if err != nil {
 		t.Fatal(err)
 	}
-	spec := sc.New()
+	spec := newSpec()
 	if !spec.Dynamic() {
 		t.Error("dynphase catalog entry is not dynamic")
 	}
 	// Fresh state per lookup: two constructions must not share slices.
-	other := sc.New()
+	other := newSpec()
 	if &spec.Apps[0] == &other.Apps[0] {
 		t.Error("dynphase constructions share app state")
 	}
 }
 
 func TestMetricCatalog(t *testing.T) {
-	descs := MetricDescs()
+	descs := metrics.Descs()
 	if len(descs) == 0 {
 		t.Fatal("metric registry empty — importing the catalog must load the scenario registrations")
 	}

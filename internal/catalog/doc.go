@@ -2,47 +2,27 @@ package catalog
 
 // Self-documentation: one JSON-serializable Document describing every
 // experiment axis the catalog knows — scenarios, workloads, machines,
-// policy plugins with their typed knobs, metrics, and any extra axes
-// registered by higher layers. aqlsweepd serves it as GET /v1/catalog
+// policy plugins with their typed knobs, and metrics. aqlsweepd serves
+// it as GET /v1/catalog (adding the axes of layers above the catalog)
 // so clients can discover valid spec-file names without a binary in
 // hand; aqlsweep -list renders the same registries as text.
 
-import "aqlsched/internal/scenario"
+import "aqlsched/internal/metrics"
 
-// PolicyDoc documents one policy plugin: its canonical name, aliases,
-// the string grammar's positional knob, and every typed parameter.
-type PolicyDoc struct {
-	Name       string               `json:"name"`
-	Aliases    []string             `json:"aliases,omitempty"`
-	Help       string               `json:"help,omitempty"`
-	Positional string               `json:"positional,omitempty"`
-	Params     []scenario.ParamDesc `json:"params,omitempty"`
-}
-
-// MetricDoc documents one registered measurement.
+// MetricDoc documents one registered measurement: its artifact schema
+// plus whether it is an application's primary metric.
 type MetricDoc struct {
-	Name      string `json:"name"`
-	Unit      string `json:"unit"`
-	Direction string `json:"direction"`
-	Agg       string `json:"agg"`
-	Scope     string `json:"scope"`
-	Primary   bool   `json:"primary,omitempty"`
-}
-
-// AxisDoc documents one extra axis published via RegisterAxis.
-type AxisDoc struct {
-	Kind  string   `json:"kind"`
-	Names []string `json:"names"`
+	metrics.Schema
+	Primary bool `json:"primary,omitempty"`
 }
 
 // Doc is the catalog's full self-description.
 type Doc struct {
-	Scenarios  []string    `json:"scenarios"`
-	Workloads  []string    `json:"workloads"`
-	Topologies []string    `json:"topologies"`
-	Policies   []PolicyDoc `json:"policies"`
-	Metrics    []MetricDoc `json:"metrics"`
-	Axes       []AxisDoc   `json:"axes,omitempty"`
+	Scenarios  []string     `json:"scenarios"`
+	Workloads  []string     `json:"workloads"`
+	Topologies []string     `json:"topologies"`
+	Policies   []PolicyDesc `json:"policies"`
+	Metrics    []MetricDoc  `json:"metrics"`
 }
 
 // Document snapshots every registry into one serializable Doc. Name
@@ -52,29 +32,11 @@ func Document() Doc {
 	doc := Doc{
 		Scenarios:  Scenarios.Names(),
 		Workloads:  Workloads.Names(),
-		Topologies: TopologyNames(),
+		Topologies: Topologies.Names(),
+		Policies:   PolicyPlugins(),
 	}
-	for _, pd := range PolicyPlugins() {
-		doc.Policies = append(doc.Policies, PolicyDoc{
-			Name:       pd.Name,
-			Aliases:    pd.Aliases,
-			Help:       pd.Help,
-			Positional: pd.Positional,
-			Params:     pd.Params,
-		})
-	}
-	for _, d := range MetricDescs() {
-		doc.Metrics = append(doc.Metrics, MetricDoc{
-			Name:      d.Name,
-			Unit:      d.Unit,
-			Direction: d.Direction.String(),
-			Agg:       d.Agg.String(),
-			Scope:     d.Scope.String(),
-			Primary:   d.Primary,
-		})
-	}
-	for _, a := range ExtraAxes() {
-		doc.Axes = append(doc.Axes, AxisDoc(a))
+	for _, d := range metrics.Descs() {
+		doc.Metrics = append(doc.Metrics, MetricDoc{Schema: d.Schema(), Primary: d.Primary})
 	}
 	return doc
 }

@@ -20,21 +20,23 @@ import (
 // CLIs use, validation of the {"policy": {"name": ..., "params": ...}}
 // spec-file block, and the -list self-documentation.
 
-// PolicyDesc declares one policy plugin.
+// PolicyDesc declares one policy plugin. It is also the plugin's entry
+// in the catalog's self-documentation (GET /v1/catalog), hence the JSON
+// tags.
 type PolicyDesc struct {
 	// Name is the canonical spelling ("fixed", "aql-w", "edf").
-	Name string
+	Name string `json:"name"`
 	// Aliases are additional spellings that resolve to the same plugin
 	// ("xen-credit" for "xen").
-	Aliases []string
+	Aliases []string `json:"aliases,omitempty"`
 	// Help is a one-line description for -list.
-	Help string
+	Help string `json:"help,omitempty"`
 	// Positional names the parameter that may be supplied without a
 	// "key=" prefix, so "fixed:5ms" means "fixed:q=5ms". Empty means
 	// every parameter must be named.
-	Positional string
+	Positional string `json:"positional,omitempty"`
 	// Params declares the plugin's typed knobs.
-	Params []scenario.ParamDesc
+	Params []scenario.ParamDesc `json:"params,omitempty"`
 }
 
 // Params carries the parsed, validated parameter values a plugin's

@@ -72,11 +72,11 @@ func mustSweep(sp *sweep.Spec, opts sweep.Options) *sweep.Result {
 
 // mustScenario resolves a catalog scenario for a sweep axis.
 func mustScenario(name string) sweep.Scenario {
-	sc, err := catalog.ScenarioByName(name)
+	f, err := catalog.Scenarios.Lookup(name)
 	if err != nil {
 		panic("experiments: " + err.Error())
 	}
-	return sweep.Scenario{Name: sc.Name, New: sc.New}
+	return sweep.Scenario{Name: name, New: f}
 }
 
 // builtin returns a built-in sweep grid run with the configuration's

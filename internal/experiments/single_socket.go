@@ -6,7 +6,6 @@ import (
 	"aqlsched/internal/catalog"
 	"aqlsched/internal/cluster"
 	"aqlsched/internal/report"
-	"aqlsched/internal/scenario"
 	"aqlsched/internal/sweep"
 )
 
@@ -29,20 +28,11 @@ type SingleSocketResult struct {
 }
 
 // SingleSocketSweep declares the Table 4 grid: scenarios S1–S5 under
-// default Xen (the baseline) and AQL_Sched.
+// default Xen (the baseline) and AQL_Sched — the policy-grid built-in
+// at one seed.
 func SingleSocketSweep(cfg Config) *sweep.Spec {
-	warm, meas := cfg.windows()
-	sp := &sweep.Spec{
-		Name:     "single-socket",
-		Policies: []catalog.Policy{catalog.XenPolicy(), catalog.AQLPolicy()},
-		Baseline: catalog.XenPolicy().Name,
-		BaseSeed: cfg.seed(),
-		Warmup:   warm,
-		Measure:  meas,
-	}
-	for _, s := range scenario.Table4(0) {
-		sp.Scenarios = append(sp.Scenarios, mustScenario(s.Name))
-	}
+	sp := builtin("policy-grid", cfg)
+	sp.Seeds = 1
 	return sp
 }
 

@@ -221,9 +221,9 @@ type Options struct {
 	// instance so policies that capture controllers stay host-local.
 	NewPolicy func() scenario.Policy
 	// Workers bounds the shard-worker pool advancing host engines in
-	// parallel at each epoch barrier (0 = the spec's Workers hint, else
-	// GOMAXPROCS; 1 = no pool, hosts advance inline; capped at the host
-	// count). Results are byte-identical at any value.
+	// parallel at each epoch barrier (0 = GOMAXPROCS; 1 = no pool, hosts
+	// advance inline; capped at the host count). Results are
+	// byte-identical at any value.
 	Workers int
 }
 
@@ -320,7 +320,7 @@ func Run(spec Spec, opts Options) *Result {
 		f.push(event{at: fe.at, kind: kind, src: f.Hosts[fe.host], dur: fe.dur, factor: fe.factor})
 	}
 
-	if workers := resolveWorkers(opts.Workers, sp.Workers, sp.Hosts); workers > 1 {
+	if workers := resolveWorkers(opts.Workers, sp.Hosts); workers > 1 {
 		pool := newAdvancePool(workers)
 		f.pool = pool
 		// Release the workers on every exit path (including a propagated

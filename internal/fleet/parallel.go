@@ -37,14 +37,11 @@ import (
 )
 
 // resolveWorkers picks the effective shard-worker count for one run:
-// the explicit Options override first, then the spec's hint, then
-// GOMAXPROCS; never more than one worker per host. A result of 1 means
-// no pool: the epoch barriers advance hosts inline.
-func resolveWorkers(opt, hint, hosts int) int {
+// the Options value, else GOMAXPROCS; never more than one worker per
+// host. A result of 1 means no pool: the epoch barriers advance hosts
+// inline.
+func resolveWorkers(opt, hosts int) int {
 	w := opt
-	if w <= 0 {
-		w = hint
-	}
 	if w <= 0 {
 		w = runtime.GOMAXPROCS(0)
 	}

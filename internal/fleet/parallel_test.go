@@ -119,43 +119,21 @@ func TestParallelFaultRunMatchesSerial(t *testing.T) {
 	assertDigestAtWorkers(t, stormFleetSpec, stormFleetDigest, 1, 2, 4)
 }
 
-// TestSpecWorkersHint: the spec-level hint arms the pool exactly like
-// the Options override, and the override wins when both are set.
-func TestSpecWorkersHint(t *testing.T) {
-	hinted := func() Spec {
-		sp := genFleetSpec()
-		sp.Workers = 4
-		return sp
-	}
-	assertDigestAtWorkers(t, hinted, genFleetDigest, 0) // the spec hint
-	assertDigestAtWorkers(t, hinted, genFleetDigest, 1) // override back to no pool
-}
-
 func TestResolveWorkers(t *testing.T) {
 	maxprocs := runtime.GOMAXPROCS(0)
 	cases := []struct {
-		opt, hint, hosts, want int
+		opt, hosts, want int
 	}{
-		{0, 0, 100, min(maxprocs, 100)}, // default: GOMAXPROCS, host-capped
-		{1, 8, 100, 1},                  // explicit serial override beats the hint
-		{4, 0, 100, 4},
-		{0, 3, 100, 3},                    // spec hint
-		{16, 0, 4, 4},                     // capped at the host count
-		{0, 16, 2, 2},                     // hint capped too
-		{-5, -3, 100, min(maxprocs, 100)}, // negatives fall through to the default
+		{0, 100, min(maxprocs, 100)}, // default: GOMAXPROCS, host-capped
+		{1, 100, 1},                  // explicit serial
+		{4, 100, 4},
+		{16, 4, 4},                    // capped at the host count
+		{-5, 100, min(maxprocs, 100)}, // negatives fall through to the default
 	}
 	for _, c := range cases {
-		if got := resolveWorkers(c.opt, c.hint, c.hosts); got != c.want {
-			t.Errorf("resolveWorkers(%d, %d, %d) = %d, want %d", c.opt, c.hint, c.hosts, got, c.want)
+		if got := resolveWorkers(c.opt, c.hosts); got != c.want {
+			t.Errorf("resolveWorkers(%d, %d) = %d, want %d", c.opt, c.hosts, got, c.want)
 		}
-	}
-}
-
-func TestWorkersValidation(t *testing.T) {
-	sp := genFleetSpec()
-	sp.Workers = -1
-	if err := sp.Validate(); err == nil || !strings.Contains(err.Error(), "workers") {
-		t.Errorf("negative workers hint validated, err = %v", err)
 	}
 }
 

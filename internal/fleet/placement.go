@@ -16,16 +16,16 @@ type Placement interface {
 	Choose(f *Fleet, pending []*VM) (vmIdx int, host *Host, ok bool)
 }
 
-// Placements is the placement-policy registry, the fleet's axis in the
-// catalog: spec files validate "placement" entries against it and
-// aqlsweep -list prints it alongside the quantum-policy grammar.
+// Placements is the placement-policy registry, the fleet's axis of the
+// catalog: spec files validate "placement" entries against it, and
+// aqlsweep -list and GET /v1/catalog list it next to the catalog's own
+// axes (the catalog cannot import the fleet without a cycle).
 var Placements = catalog.NewRegistry[func() Placement]("placement")
 
 func init() {
 	Placements.Register("least-loaded", func() Placement { return leastLoaded{} })
 	Placements.Register("bin-pack", func() Placement { return binPack{} })
 	Placements.Register("tenant-fairshare", func() Placement { return fairShare{} })
-	catalog.RegisterAxis("placements", Placements.Names)
 }
 
 // PlacementByName resolves a placement policy, with the registry's

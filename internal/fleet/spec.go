@@ -133,12 +133,6 @@ type Spec struct {
 	// Faults, when non-nil, injects host crashes, transient degradation
 	// and migration failures on a seeded schedule (see FaultPlan).
 	Faults *FaultPlan
-	// Workers is an execution hint: the shard-worker count for this
-	// fleet's run loop (0 = GOMAXPROCS, 1 = serial; Options.Workers
-	// overrides it). It never influences results — artifacts are
-	// byte-identical at any value — it only tunes how many cores one
-	// run may use, e.g. from a spec file's {"fleet": {"workers": N}}.
-	Workers int
 	// Warmup and Measure window the run (defaults 500 ms / 1 s).
 	Warmup  sim.Time
 	Measure sim.Time
@@ -205,9 +199,6 @@ func (s *Spec) Validate() error {
 	}
 	if p := s.Placement; p != "" && !Placements.Has(p) {
 		return fmt.Errorf("fleet %q: unknown placement policy %q (known: %v)", name, p, Placements.Names())
-	}
-	if s.Workers < 0 {
-		return fmt.Errorf("fleet %q: workers hint must be non-negative, got %d", name, s.Workers)
 	}
 	seen := map[string]bool{}
 	for i, t := range s.Tenants {

@@ -113,6 +113,27 @@ type Desc struct {
 	Help string
 }
 
+// Schema is the serialized self-description of one metric: a sweep
+// artifact's column header and a catalog document's metric entry.
+type Schema struct {
+	Name      string `json:"name"`
+	Unit      string `json:"unit"`
+	Direction string `json:"direction"`
+	Agg       string `json:"agg"`
+	Scope     string `json:"scope"`
+}
+
+// Schema renders the desc's serialized self-description.
+func (d Desc) Schema() Schema {
+	return Schema{
+		Name:      d.Name,
+		Unit:      d.Unit,
+		Direction: d.Direction.String(),
+		Agg:       d.Agg.String(),
+		Scope:     d.Scope.String(),
+	}
+}
+
 // Normalized applies the desc's direction to a (measured, baseline)
 // pair, returning the paper's lower-is-better normalized performance.
 // ok is false for direction-less metrics and non-positive denominators

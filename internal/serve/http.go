@@ -9,6 +9,7 @@ import (
 	"strconv"
 
 	"aqlsched/internal/catalog"
+	"aqlsched/internal/fleet"
 	"aqlsched/internal/sweep"
 )
 
@@ -204,14 +205,21 @@ func (s *Server) handleArtifact(w http.ResponseWriter, r *http.Request) {
 	w.Write(data)
 }
 
+// axisDoc documents one axis owned by a layer above the catalog.
+type axisDoc struct {
+	Kind  string   `json:"kind"`
+	Names []string `json:"names"`
+}
+
 // handleCatalog serves the experiment-axis self-documentation plus the
-// built-in sweep names (added here — the catalog package cannot import
-// sweep without a cycle).
+// fleet's placement axis and the built-in sweep names (added here — the
+// catalog package cannot import fleet or sweep without a cycle).
 func (s *Server) handleCatalog(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, struct {
 		catalog.Doc
-		BuiltinSweeps []string `json:"builtin_sweeps"`
-	}{catalog.Document(), sweep.BuiltinNames()})
+		Axes          []axisDoc `json:"axes"`
+		BuiltinSweeps []string  `json:"builtin_sweeps"`
+	}{catalog.Document(), []axisDoc{{"placements", fleet.Placements.Names()}}, sweep.BuiltinNames()})
 }
 
 func (s *Server) handleBench(w http.ResponseWriter, r *http.Request) {

@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -472,14 +473,50 @@ func TestHTTPEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	var cat struct {
-		Scenarios     []string `json:"scenarios"`
-		Policies      []any    `json:"policies"`
+		Scenarios  []string `json:"scenarios"`
+		Topologies []string `json:"topologies"`
+		Policies   []any    `json:"policies"`
+		Metrics    []struct {
+			Name    string `json:"name"`
+			Primary bool   `json:"primary"`
+		} `json:"metrics"`
+		Axes []struct {
+			Kind  string   `json:"kind"`
+			Names []string `json:"names"`
+		} `json:"axes"`
 		BuiltinSweeps []string `json:"builtin_sweeps"`
 	}
 	json.NewDecoder(cr.Body).Decode(&cat)
 	cr.Body.Close()
 	if len(cat.Scenarios) == 0 || len(cat.Policies) == 0 || len(cat.BuiltinSweeps) == 0 {
 		t.Fatalf("catalog document is missing axes: %+v", cat)
+	}
+	// Both paper machines resolve by name.
+	if !slices.Contains(cat.Topologies, "i7-3770") || !slices.Contains(cat.Topologies, "xeon-e5-4603") {
+		t.Errorf("catalog topologies = %v, want both paper machines", cat.Topologies)
+	}
+	// The fleet's placement axis is listed although the catalog package
+	// cannot import the fleet.
+	var placements []string
+	for _, ax := range cat.Axes {
+		if ax.Kind == "placements" {
+			placements = ax.Names
+		}
+	}
+	for _, want := range []string{"least-loaded", "bin-pack", "tenant-fairshare"} {
+		if !slices.Contains(placements, want) {
+			t.Errorf("catalog placements axis = %v, missing %q", placements, want)
+		}
+	}
+	// Metric entries carry the primary flag next to their schema.
+	primary := false
+	for _, m := range cat.Metrics {
+		if m.Name == "latency_mean" {
+			primary = m.Primary
+		}
+	}
+	if !primary {
+		t.Error(`catalog metric latency_mean lacks "primary": true`)
 	}
 
 	hr, err := http.Get(ts.URL + "/v1/healthz")

@@ -136,16 +136,10 @@ func fingerprint(data []byte) string {
 // artifact) reads. Policy instances and raw simulation state are
 // deliberately not journaled — they are diagnostics of a live run.
 type runRecord struct {
-	Index       int                   `json:"index"`
-	ScenarioIdx int                   `json:"scenario_idx"`
-	PolicyIdx   int                   `json:"policy_idx"`
-	SeedIdx     int                   `json:"seed_idx"`
-	Scenario    string                `json:"scenario"`
-	Policy      string                `json:"policy"`
-	Seed        uint64                `json:"seed"`
-	Apps        []scenario.AppMeasure `json:"apps,omitempty"`
-	PerVM       []scenario.AppMeasure `json:"per_vm,omitempty"`
-	Metrics     metrics.Set           `json:"metrics"`
+	Run
+	Apps    []scenario.AppMeasure `json:"apps,omitempty"`
+	PerVM   []scenario.AppMeasure `json:"per_vm,omitempty"`
+	Metrics metrics.Set           `json:"metrics"`
 }
 
 // CreateJournal initializes a journal directory (creating it as needed)
@@ -200,20 +194,7 @@ func OpenJournal(dir string) (*Journal, *Manifest, error) {
 		if rec.Index < 0 || rec.Index >= m.Runs {
 			continue
 		}
-		j.restored[rec.Index] = RunResult{
-			Run: Run{
-				Index:       rec.Index,
-				ScenarioIdx: rec.ScenarioIdx,
-				PolicyIdx:   rec.PolicyIdx,
-				SeedIdx:     rec.SeedIdx,
-				Scenario:    rec.Scenario,
-				Policy:      rec.Policy,
-				Seed:        rec.Seed,
-			},
-			Apps:    rec.Apps,
-			PerVM:   rec.PerVM,
-			Metrics: rec.Metrics,
-		}
+		j.restored[rec.Index] = RunResult{Run: rec.Run, Apps: rec.Apps, PerVM: rec.PerVM, Metrics: rec.Metrics}
 	}
 	return j, m, nil
 }
@@ -299,19 +280,7 @@ func (j *Journal) Record(rr *RunResult) error {
 	if rr.Err != nil {
 		return nil
 	}
-	rec := runRecord{
-		Index:       rr.Index,
-		ScenarioIdx: rr.ScenarioIdx,
-		PolicyIdx:   rr.PolicyIdx,
-		SeedIdx:     rr.SeedIdx,
-		Scenario:    rr.Scenario,
-		Policy:      rr.Policy,
-		Seed:        rr.Seed,
-		Apps:        rr.Apps,
-		PerVM:       rr.PerVM,
-		Metrics:     rr.Metrics,
-	}
-	data, err := json.Marshal(rec)
+	data, err := json.Marshal(runRecord{Run: rr.Run, Apps: rr.Apps, PerVM: rr.PerVM, Metrics: rr.Metrics})
 	if err != nil {
 		return err
 	}

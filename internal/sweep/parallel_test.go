@@ -54,50 +54,10 @@ func TestFleetWorkersDeterminism(t *testing.T) {
 	}
 }
 
-// TestFleetWorkersSpecHint: the {"fleet": {"workers": N}} spec knob
-// reaches fleet.Spec and, being an execution hint, changes nothing in
-// the artifacts.
-func TestFleetWorkersSpecHint(t *testing.T) {
-	hinted := strings.Replace(faultSpecJSON, `"hosts": 4,`, `"hosts": 4, "workers": 3,`, 1)
-	if hinted == faultSpecJSON {
-		t.Fatal("failed to splice the workers hint into the spec")
-	}
-	spec, err := Parse([]byte(hinted))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, sc := range spec.Scenarios {
-		if fs := sc.NewFleet(); fs.Workers != 3 {
-			t.Errorf("scenario %s: Workers hint = %d, want 3", sc.Name, fs.Workers)
-		}
-	}
-
-	res, err := Exec(spec, Options{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	base, err := Parse([]byte(faultSpecJSON))
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := Exec(base, Options{Workers: 1, FleetWorkers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var jHint, jBase bytes.Buffer
-	if err := res.WriteJSON(&jHint); err != nil {
-		t.Fatal(err)
-	}
-	if err := want.WriteJSON(&jBase); err != nil {
-		t.Fatal(err)
-	}
-	if jHint.String() != jBase.String() {
-		t.Error("the workers hint changed the artifacts; it must be execution-only")
-	}
-}
-
-// TestFleetWorkersSpecRejectsNegative: a negative hint fails at parse
-// time, not mid-sweep.
+// TestFleetWorkersSpecRejectsNegative: a fleet block naming "workers"
+// fails at parse time, not mid-sweep. Shard counts are an execution
+// option (-fleet-workers), never part of a spec, so the field is
+// unknown.
 func TestFleetWorkersSpecRejectsNegative(t *testing.T) {
 	bad := strings.Replace(faultSpecJSON, `"hosts": 4,`, `"hosts": 4, "workers": -2,`, 1)
 	if _, err := Parse([]byte(bad)); err == nil || !strings.Contains(err.Error(), "workers") {

@@ -253,11 +253,6 @@ type FleetBlock struct {
 	// Seed drives the population draws (default: the file's base seed),
 	// independent of the per-run simulation seeds.
 	Seed uint64 `json:"seed,omitempty"`
-	// Workers hints the shard-worker count for each run of this fleet
-	// (0 = GOMAXPROCS, 1 = serial). An execution knob only — results
-	// are byte-identical at any value — and overridden by the
-	// -fleet-workers flag / sweep.Options.FleetWorkers when set.
-	Workers int `json:"workers,omitempty"`
 }
 
 // RebalanceBlock is the spec-file form of fleet.Rebalance.
@@ -455,19 +450,18 @@ func (f *File) scenarioAxis(i int, r ScenarioRef) (Scenario, error) {
 		return f.genAxis(i, r.Gen)
 
 	case r.Name != "":
-		sc, err := catalog.ScenarioByName(r.Name)
+		inner, err := catalog.Scenarios.Lookup(r.Name)
 		if err != nil {
 			return Scenario{}, err
 		}
 		if r.Topology == "" {
-			return Scenario{Name: sc.Name, New: sc.New}, nil
+			return Scenario{Name: r.Name, New: inner}, nil
 		}
 		topo, err := f.topology(r.Topology)
 		if err != nil {
 			return Scenario{}, err
 		}
 		name := r.Name + "@" + r.Topology
-		inner := sc.New
 		return Scenario{Name: name, New: func() scenario.Spec {
 			s := inner()
 			t := *topo // fresh copy per run
@@ -604,7 +598,6 @@ func (f *File) fleetAxis(i int, fb *FleetBlock) ([]Scenario, error) {
 		VCPUs:   fb.VCPUs,
 		Mix:     fb.Mix,
 		GenSeed: seed,
-		Workers: fb.Workers,
 	}
 	base.Churn = fb.Churn.spec()
 	if r := fb.Rebalance; r != nil {

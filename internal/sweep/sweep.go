@@ -82,20 +82,21 @@ type Spec struct {
 	Measure sim.Time
 }
 
-// Run is one cell-replication of the expanded matrix.
+// Run is one cell-replication of the expanded matrix. Its JSON form
+// opens every journal checkpoint.
 type Run struct {
 	// Index is the position in expansion order (scenario-major, then
 	// policy, then seed replication).
-	Index       int
-	ScenarioIdx int
-	PolicyIdx   int
-	SeedIdx     int
-	Scenario    string
-	Policy      string
+	Index       int    `json:"index"`
+	ScenarioIdx int    `json:"scenario_idx"`
+	PolicyIdx   int    `json:"policy_idx"`
+	SeedIdx     int    `json:"seed_idx"`
+	Scenario    string `json:"scenario"`
+	Policy      string `json:"policy"`
 	// Seed is the run's simulation seed, a pure function of BaseSeed
 	// and SeedIdx (shared across policies so normalization pairs runs
 	// of the same replication).
-	Seed uint64
+	Seed uint64 `json:"seed"`
 }
 
 func (s *Spec) seeds() int {
@@ -233,11 +234,10 @@ type Options struct {
 	// cheap.
 	RunTimeout time.Duration
 	// FleetWorkers shards each fleet run's host advances across this
-	// many goroutines (0 = the fleet spec's hint, else GOMAXPROCS;
-	// 1 = serial). Like Workers it never changes results — fleet runs
-	// are byte-identical at any shard count — and it composes with
-	// Workers: a sweep may run cells in parallel while each fleet cell
-	// shards internally.
+	// many goroutines (0 = GOMAXPROCS; 1 = serial). Like Workers it
+	// never changes results — fleet runs are byte-identical at any shard
+	// count — and it composes with Workers: a sweep may run cells in
+	// parallel while each fleet cell shards internally.
 	FleetWorkers int
 	// OnRun, when non-nil, is called once per newly executed run —
 	// successful or failed — right after it completes (journal-restored
